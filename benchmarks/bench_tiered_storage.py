@@ -7,13 +7,17 @@ Measures the tentpole claims of the two-tier storage engine:
    the store retains >= 4x less Python heap than the flat in-memory
    store holding the same elements (tracemalloc, steady cold state).
 2. **Timeslice latency**: the stamp kernels running over lazily-decoded
-   cold columns keep the columnar sidecar's speedup over the object
-   path -- demotion must not give back what PR 5 won.
+   cold columns keep the columnar sidecar's speedup over an object
+   loop -- demotion must not give back what the column kernels won.
 3. **Bisect latency**: transaction-time cuts on cold segments answer
    from the compressed delta blocks (at most one block decoded per
    probe), keeping the bitemporal kernels' speedup as well.
-4. **Identity ledger**: tiered kernel, tiered object path, and the flat
+4. **Identity ledger**: tiered kernel, tiered object loop, and the flat
    reference store return element-for-element identical answers.
+
+The object loop is ``bench_columnar_scan.object_scan``: the same
+predicate over the same segments the operator visits, read through
+``store.elements_range`` so it pays cold decoding too.
 
 The workload closes ~90% of elements while their segments are still
 hot (so compression sees realistic mostly-dead history and the live
@@ -37,7 +41,6 @@ import gc
 import os
 import sys
 import tracemalloc
-from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Tuple
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -54,21 +57,10 @@ from repro.relation.temporal_relation import TemporalRelation
 from repro.storage.memory import MemoryEngine
 from repro.workloads.base import seeded
 
+from bench_columnar_scan import object_scan
+
 SEGMENT = 4096
 CLOSE_FRACTION = 0.9
-
-
-@contextmanager
-def columnar_env(value: str):
-    old = os.environ.get("REPRO_COLUMNAR")
-    os.environ["REPRO_COLUMNAR"] = value
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_COLUMNAR", None)
-        else:
-            os.environ["REPRO_COLUMNAR"] = old
 
 
 def build_relation(count: int, tier_dir: Optional[str]) -> Tuple[TemporalRelation, Any]:
@@ -125,21 +117,21 @@ def measured_build(count: int, tier_dir: Optional[str]) -> Tuple[TemporalRelatio
     return relation, resident
 
 
-def compare(label: str, tiered_run, flat_run, object_repeats: int = 5) -> Dict[str, Any]:
-    """Time *tiered_run* on kernels and on the object path; check both
-    against the flat store's answer."""
-    with columnar_env("1"):
-        kernel_ms = best_of(lambda: tiered_run()[0])
-        kernel_rows, stats = tiered_run()
+def compare(
+    label: str, tiered_run, tiered_object, flat_run, object_repeats: int = 5
+) -> Dict[str, Any]:
+    """Time *tiered_run* (kernels) against *tiered_object* (object loop);
+    check both against the flat store's answer."""
+    kernel_ms = best_of(lambda: tiered_run()[0])
+    kernel_rows, stats = tiered_run()
     assert stats is None or stats.columnar, f"{label}: kernel did not engage"
     assert stats is None or stats.cold_segments, f"{label}: no cold segments served"
-    with columnar_env("0"):
-        # The object path re-decodes every cold segment per run (the
-        # answer set exceeds the tier cache), so each repeat does the
-        # same deterministic decode work -- few repeats are stable.
-        object_ms = best_of(lambda: tiered_run()[0], repeats=object_repeats)
-        object_rows, _stats = tiered_run()
-        flat_rows, _stats = flat_run()
+    # The object loop re-decodes every cold segment per run (the answer
+    # set exceeds the tier cache), so each repeat does the same
+    # deterministic decode work -- few repeats are stable.
+    object_ms = best_of(tiered_object, repeats=object_repeats)
+    object_rows = tiered_object()
+    flat_rows, _stats = flat_run()
     ledger = [repr(e) for e in kernel_rows]
     identical = ledger == [repr(e) for e in object_rows] and ledger == [
         repr(e) for e in flat_rows
@@ -180,9 +172,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     import tempfile
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-tier-") as tier_dir:
-        with columnar_env("1"):
-            flat_relation, flat_resident = measured_build(count, tier_dir=None)
-            tiered_relation, tiered_resident = measured_build(count, tier_dir)
+        flat_relation, flat_resident = measured_build(count, tier_dir=None)
+        tiered_relation, tiered_resident = measured_build(count, tier_dir)
         store = tiered_relation.engine.transaction_index.store
         assert store.cold_base > 0, "nothing demoted -- bench is vacuous"
         footprint_ratio = flat_resident / max(tiered_resident, 1)
@@ -199,6 +190,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         live = [e for e in flat_relation.all_elements() if e.is_current]
         probe = live[len(live) // 2].vt
         as_of = Timestamp(5 * count)
+        target = probe.microseconds
+        as_of_micro = as_of.microseconds
 
         def tiered_timeslice():
             stats = operators.SegmentStats()
@@ -206,6 +199,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                 tiered_relation, probe, stats
             )
             return rows, stats
+
+        def tiered_object_timeslice():
+            return object_scan(
+                store,
+                len(store),
+                lambda zone: zone.live > 0 and zone.may_contain_vt(target, target),
+                lambda element: element.is_current and element.valid_at(probe),
+            )
 
         def flat_timeslice():
             rows, _examined = operators.timeslice_segment_pruned(flat_relation, probe)
@@ -218,15 +219,31 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             return rows, stats
 
+        def tiered_object_bisect():
+            return object_scan(
+                store,
+                store.position_right(as_of_micro),
+                lambda zone: (
+                    zone.alive_at(as_of_micro) and zone.may_contain_vt(target, target)
+                ),
+                lambda element: element.stored_during(as_of) and element.valid_at(probe),
+            )
+
         def flat_bisect():
             rows, _examined = operators.bitemporal_prefix(flat_relation, probe, as_of)
             return rows, None
 
         object_repeats = 5 if args.quick else 2
         timeslice = compare(
-            "timeslice", tiered_timeslice, flat_timeslice, object_repeats
+            "timeslice",
+            tiered_timeslice,
+            tiered_object_timeslice,
+            flat_timeslice,
+            object_repeats,
         )
-        bisect = compare("bisect", tiered_bisect, flat_bisect, object_repeats)
+        bisect = compare(
+            "bisect", tiered_bisect, tiered_object_bisect, flat_bisect, object_repeats
+        )
 
     results: Dict[str, Any] = {
         "count": count,

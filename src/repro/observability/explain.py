@@ -211,7 +211,7 @@ def explain_query(
     if plan.result_cache_epoch is not None:
         # Same placement discipline as the standing-view lines: ahead
         # of the final "chosen: ..." line, which stays last.
-        version, _engine_id, mutations, _env = plan.result_cache_epoch
+        version, _engine_id, mutations = plan.result_cache_epoch
         cache_line = (
             f"served from result cache @ epoch v{version}/m{mutations}"
         )

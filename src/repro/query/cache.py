@@ -13,12 +13,11 @@ module memoizes the three stages of answering one:
   answer, an LRU bounded by entry count *and* bytes.
 
 The epoch key is the one ``relation_statistics()`` already uses --
-``(relation.version, (id(engine), engine.mutation_count()))`` -- plus
-the planner-visible environment toggles.  Entries are never actively
-invalidated: any mutation (including vacuum engine swaps, cold-segment
-delete patches, and out-of-band ``extend()`` straight into the engine)
-advances the epoch, so stale keys simply stop matching and age out of
-the LRU.  That is the whole invalidation contract; see
+``(relation.version, id(engine), engine.mutation_count())``.  Entries
+are never actively invalidated: any mutation (including vacuum engine
+swaps, cold-segment delete patches, and out-of-band ``extend()``
+straight into the engine) advances the epoch, so stale keys simply stop
+matching and age out of the LRU.  That is the whole invalidation contract; see
 ``docs/caching.md``.
 
 Knobs (read at call time, so tests can flip them):
@@ -77,19 +76,6 @@ DEFAULT_RESULT_BYTES = 64 * 1024 * 1024
 ELEMENT_FOOTPRINT = 256
 RESULT_OVERHEAD = 64
 
-#: Environment toggles that change what the planner builds or how a
-#: thunk executes.  They are part of every plan/result key so flipping
-#: one mid-process (the differential suites do) never serves a plan
-#: compiled for the other mode -- and never lets a cached answer mask a
-#: divergence between the two code paths under test.
-_ENV_TOGGLES = (
-    "REPRO_COLUMNAR",
-    "REPRO_TIERED",
-    "REPRO_PARALLEL",
-    "REPRO_SEGMENT_SIZE",
-)
-
-
 def caching_enabled() -> bool:
     """Whether any cache layer may be consulted (the global kill-switch:
     ``REPRO_RESULT_CACHE=0`` restores the uncached path everywhere)."""
@@ -122,17 +108,13 @@ def result_cache_bytes() -> int:
     return DEFAULT_RESULT_BYTES
 
 
-def _env_key() -> Tuple[Optional[str], ...]:
-    return tuple(os.environ.get(name) for name in _ENV_TOGGLES)
-
-
 class LRUCache:
     """An LRU map bounded by entry count and (optionally) bytes.
 
-    Thread-safe (planner thunks may run from the server's reader pool
-    or parallel-segment workers).  Hits, misses, and evictions feed the
-    ``cache.*`` counters both in aggregate and per layer; the byte
-    gauge is per layer (``cache.bytes.<layer>``).
+    Thread-safe (planner thunks may run from the server's reader pool).
+    Hits, misses, and evictions feed the ``cache.*`` counters both in
+    aggregate and per layer; the byte gauge is per layer
+    (``cache.bytes.<layer>``).
     """
 
     def __init__(
@@ -297,11 +279,13 @@ def epoch_key(relation: Any) -> Tuple[Any, ...]:
     ``relation.version`` advances once per relation-level mutation (and
     on vacuum's engine swap); ``(id(engine), mutation_count())``
     catches everything that bypasses the relation -- the same
-    discipline ``relation_statistics()`` uses.  The environment toggles
-    ride along so mode flips re-derive rather than reuse.
+    discipline ``relation_statistics()`` uses.  ``REPRO_TIERED`` and
+    ``REPRO_SEGMENT_SIZE`` need no component of their own: they are read
+    only when a store is built, and rebuilding a live engine's store
+    (vacuum, compaction, rebalance) already moves one of these.
     """
     engine = relation.engine
-    return (relation.version, id(engine), engine.mutation_count(), _env_key())
+    return (relation.version, id(engine), engine.mutation_count())
 
 
 def result_footprint(results: List[Any]) -> int:

@@ -12,9 +12,8 @@ engine's :class:`~repro.storage.segments.SegmentedStore`: the declared
 offsets tighten the range first, then each sealed segment's zone map is
 consulted and segments that cannot contain a match are skipped without
 touching an element.  Callers pass a :class:`SegmentStats` to receive
-the scanned/pruned counts ``explain()`` reports; work across surviving
-segments is distributed by
-:func:`~repro.storage.segments.parallel_map_segments`.
+the scanned/pruned counts ``explain()`` reports.  Surviving segments run
+serially through a column kernel, in position order.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from repro.relation.element import Element
 from repro.relation.temporal_relation import TemporalRelation
 from repro.storage.columnar import (
     StampColumns,
-    columnar_enabled,
     positions_bitemporal,
     positions_live,
     positions_overlapping,
@@ -41,7 +39,6 @@ from repro.storage.segments import (
     POS_SENTINEL,
     SegmentedStore,
     ZoneMap,
-    parallel_map_segments,
 )
 
 Result = Tuple[List[Element], int]
@@ -95,51 +92,20 @@ def _scatter_gather(
     shard (orderings survive tt-subsequences), so *per_shard* is the
     same specialized operator recursing into a per-shard relation view.
     Envelope routing first drops shards the probe cannot touch; the
-    surviving shards run through ``parallel_map_segments`` and the
-    gather merges by the globally unique ``tt_start`` -- ascending, or
-    descending for operators whose single-store output walks backwards.
-    Per-shard segment statistics accumulate into *stats* via private
-    locals, so counts stay exact with parallelism on.
+    surviving shards run in turn, accumulating their segment statistics
+    into *stats*, and the gather merges by the globally unique
+    ``tt_start`` -- ascending, or descending for operators whose
+    single-store output walks backwards.
     """
     views = engine.subrelations(relation.schema)
-    routed = engine.route_shards(match)
-
-    def work(index: int) -> Tuple[List[Element], int, Optional[SegmentStats]]:
-        local = SegmentStats() if stats is not None else None
-        results, examined = per_shard(views[index], local)
-        return results, examined, local
-
     merged: List[Element] = []
     examined_total = 0
-    for results, examined, local in parallel_map_segments(work, routed, threshold=1):
+    for index in engine.route_shards(match):
+        results, examined = per_shard(views[index], stats)
         merged.extend(results)
         examined_total += examined
-        if stats is not None and local is not None:
-            stats.scanned += local.scanned
-            stats.pruned += local.pruned
-            if local.columnar:
-                stats.columnar = True
-            stats.positions_examined += local.positions_examined
-            stats.materialized += local.materialized
-            stats.cold_segments += local.cold_segments
     merged.sort(key=lambda element: element.tt_start.microseconds, reverse=descending)
     return merged, examined_total
-
-
-def columnar_active(relation: TemporalRelation) -> bool:
-    """Will the segment-shaped operators run on column kernels here?
-
-    True only when the engine's store carries the stamp sidecar *and*
-    ``REPRO_COLUMNAR`` is on right now -- the same dynamic check
-    :func:`_scan_segments` makes, so the planner's advertised strategy
-    matches what actually executes.
-    """
-    index = _tt_index(relation)
-    return (
-        index is not None
-        and index.store.columns is not None
-        and columnar_enabled()
-    )
 
 
 def tiered_active(relation: TemporalRelation) -> bool:
@@ -160,7 +126,7 @@ class SegmentStats:
     transaction-time range overlapped; ``pruned`` of them were skipped
     on zone-map evidence alone.
 
-    When the columnar path ran, ``columnar`` is set and
+    Once a segment scan ran, ``columnar`` is set and
     ``positions_examined`` / ``materialized`` record how many column
     rows the kernels tested versus how many ``Element`` objects were
     actually built for the answer -- the late-materialization ratio
@@ -181,28 +147,20 @@ def _scan_segments(
     store: SegmentedStore,
     start: int,
     stop: int,
-    element_match: Callable[[Element], bool],
     zone_match: Callable[[ZoneMap], bool],
     stats: Optional[SegmentStats],
-    kernel: Optional[Kernel] = None,
+    kernel: Kernel,
 ) -> Result:
     """Filter positions ``[start, stop)`` segment-at-a-time.
 
     Sealed segments overlapping the range are kept only when
     *zone_match* accepts their zone map (zone maps summarise the whole
     segment, so rejecting one is valid even when the range clips it);
-    the mutable head is always scanned.  Surviving segments run through
-    :func:`parallel_map_segments` and results concatenate in position
-    order, so output order and the examined count are identical with
-    parallelism on or off.
-
-    When a *kernel* is supplied and the store carries stamp columns
-    (and ``REPRO_COLUMNAR`` is on), each work unit runs the kernel over
-    the columns and hands back a **position list**; the surviving
-    ``Element`` objects are materialized only after the merge.  The
-    kernel must encode exactly the predicate *element_match* evaluates
-    on objects -- the differential suite holds the two paths to
-    byte-identical answers.
+    the mutable head is always scanned.  Each surviving segment runs
+    *kernel* over its stamp columns and hands back a **position list**;
+    the surviving ``Element`` objects are materialized afterwards, in
+    position (= tt) order.  The differential suites hold every kernel
+    to the object predicates of the reference scans.
     """
     if stop <= start:
         return [], 0
@@ -232,45 +190,25 @@ def _scan_segments(
         if cold_base:
             stats.cold_segments += sum(1 for lo, _hi in units if lo < cold_base)
 
-    if kernel is not None and store.columns is not None and columnar_enabled():
-
-        def column_work(unit: Tuple[int, int]) -> Tuple[int, List[int], int]:
-            lo, hi = unit
-            # Hot units run on the store's sidecar; a cold unit gets its
-            # segment's lazily-decoded column set, in segment-local
-            # coordinates (units never span the cold/hot boundary).
-            columns, base = store.kernel_view(lo, hi)
-            return base, kernel(columns, lo - base, hi - base), hi - lo
-
-        matches: List[Element] = []
-        examined = 0
-        materialized = 0
-        for base, positions, touched in parallel_map_segments(column_work, units):
-            # Late materialization: objects are fetched only for the
-            # positions the kernel kept, in position (= tt) order.
-            matches.extend(store.fetch_elements(base, positions))
-            examined += touched
-            materialized += len(positions)
-        if stats is not None:
-            stats.columnar = True
-            stats.positions_examined += examined
-            stats.materialized += materialized
-        return matches, examined
-
-    def work(unit: Tuple[int, int]) -> Result:
-        lo, hi = unit
-        kept = []
-        for element in store.elements_range(lo, hi):
-            if element_match(element):
-                kept.append(element)
-        return kept, hi - lo
-
-    object_matches: List[Element] = []
-    object_examined = 0
-    for kept, touched in parallel_map_segments(work, units):
-        object_matches.extend(kept)
-        object_examined += touched
-    return object_matches, object_examined
+    matches: List[Element] = []
+    examined = 0
+    materialized = 0
+    for lo, hi in units:
+        # Hot units run on the store's sidecar; a cold unit gets its
+        # segment's lazily-decoded column set, in segment-local
+        # coordinates (units never span the cold/hot boundary).
+        columns, base = store.kernel_view(lo, hi)
+        positions = kernel(columns, lo - base, hi - base)
+        # Late materialization: objects are fetched only for the
+        # positions the kernel kept.
+        matches.extend(store.fetch_elements(base, positions))
+        examined += hi - lo
+        materialized += len(positions)
+    if stats is not None:
+        stats.columnar = True
+        stats.positions_examined += examined
+        stats.materialized += materialized
+    return matches, examined
 
 
 # -- baseline -------------------------------------------------------------------
@@ -345,7 +283,6 @@ def rollback_prefix(
         store,
         0,
         stop,
-        lambda element: element.stored_during(tt),
         zone_match,
         stats,
         kernel=kernel,
@@ -474,7 +411,6 @@ def timeslice_bounded_window(
         store,
         start,
         stop,
-        lambda element: element.is_current and element.valid_at(vt),
         lambda zone: zone.live > 0 and zone.may_contain_vt(target, target),
         stats,
         kernel=lambda columns, lo, hi: positions_valid_at(columns, lo, hi, target),
@@ -542,7 +478,6 @@ def overlap_bounded_window(
         store,
         first,
         stop,
-        lambda element: element.is_current and window.contains_point(element.vt),  # type: ignore[arg-type]
         lambda zone: zone.live > 0 and zone.may_contain_vt(vt_lo, vt_hi),
         stats,
         kernel=lambda columns, lo, hi: positions_overlapping(
@@ -691,7 +626,6 @@ def timeslice_segment_pruned(
         store,
         0,
         len(store),
-        lambda element: element.is_current and element.valid_at(vt),
         lambda zone: zone.live > 0 and zone.may_contain_vt(target, target),
         stats,
         kernel=lambda columns, lo, hi: positions_valid_at(columns, lo, hi, target),
@@ -855,7 +789,6 @@ def bitemporal_prefix(
         store,
         0,
         stop,
-        lambda element: element.stored_during(tt) and element.valid_at(vt),
         zone_match,
         stats,
         kernel=kernel,

@@ -234,10 +234,9 @@ class Planner:
         """Plan *query*, consulting the epoch-keyed plan cache first.
 
         A cached plan is keyed on (fingerprint, relation version,
-        engine epoch, env toggles): any mutation -- or a mode flip like
-        ``REPRO_COLUMNAR`` -- changes the key and re-plans.  Plans are
-        safe to share across planner instances: thunks close over the
-        relation, and ``execute()`` resets per-run accounting.
+        engine epoch): any mutation changes the key and re-plans.  Plans
+        are safe to share across planner instances: thunks close over
+        the relation, and ``execute()`` resets per-run accounting.
         """
         cache = _query_cache.relation_cache(self.relation)
         fp = None
@@ -255,7 +254,7 @@ class Planner:
                     return cached
         plan = self._build_plan(query)
         if cache is not None and fp is not None and epoch is not None:
-            self._attach_result_cache(plan, cache, fp, epoch[-1])
+            self._attach_result_cache(plan, cache, fp)
             cache.put_plan(fp, epoch, plan)
         return plan
 
@@ -264,18 +263,14 @@ class Planner:
         plan: PlannedQuery,
         cache: "_query_cache.RelationQueryCache",
         fp: tuple,
-        env: tuple,
     ) -> None:
         """Wrap the plan's thunk (outermost) with the result cache.
 
-        The mutation coordinate (version, engine identity, mutation
-        count) is computed at *execute* time, so a plan reused across
-        commits stores and serves per-epoch answers.  The environment
-        component is bound at plan time: the wrapped thunk itself was
-        compiled under these toggles, so a mode flip re-plans (new env,
-        new plan-cache key) rather than re-keying this thunk.  Hits
-        hand back a fresh list (the stored answer is frozen) and zero
-        the shard accounting -- nothing was routed.
+        The epoch (version, engine identity, mutation count) is computed
+        at *execute* time, so a plan reused across commits stores and
+        serves per-epoch answers.  Hits hand back a fresh list (the
+        stored answer is frozen) and zero the shard accounting --
+        nothing was routed.
         """
         relation = self.relation
         inner = plan._thunk
@@ -285,8 +280,7 @@ class Planner:
             if results_cache is None:
                 plan.result_cache_epoch = None
                 return inner()
-            engine = relation.engine
-            epoch = (relation.version, id(engine), engine.mutation_count(), env)
+            epoch = _query_cache.epoch_key(relation)
             key = (fp, epoch)
             hit = results_cache.get(key)
             if hit is not None:
@@ -316,11 +310,6 @@ class Planner:
                 strategy="naive",
                 explanation="no applicable rule; reference executor",
                 _thunk=lambda: _run_naive(query),
-            )
-        if plan.segment_stats is not None and operators.columnar_active(self.relation):
-            decisions.append(
-                "columnar: stamp-column kernel with late materialization "
-                "(REPRO_COLUMNAR=0 selects the object path)"
             )
         if plan.segment_stats is not None and operators.tiered_active(self.relation):
             decisions.append(
@@ -615,33 +604,16 @@ class Planner:
                 )
             decisions.append("bounded-tt-window: pruned -- no bounded region declared")
             if not getattr(self.relation.engine, "has_vt_index", False):
-                if operators.columnar_active(self.relation):
-                    decisions.append(
-                        "columnar-scan: no valid-time index; zone maps prune, "
-                        "then the timeslice kernel runs on the stamp columns"
-                    )
-                    stats = operators.SegmentStats()
-                    return PlannedQuery(
-                        strategy="columnar-scan",
-                        explanation=(
-                            "no valid-time index available; zone-map pruning, then "
-                            "column kernels with late element materialization"
-                        ),
-                        _thunk=lambda: operators.timeslice_segment_pruned(
-                            self.relation, vt, stats=stats
-                        ),
-                        segment_stats=stats,
-                    )
                 decisions.append(
-                    "segment-pruned-scan: no valid-time index; zone maps prune "
-                    "the full transaction range"
+                    "columnar-scan: no valid-time index; zone maps prune, "
+                    "then the timeslice kernel runs on the stamp columns"
                 )
                 stats = operators.SegmentStats()
                 return PlannedQuery(
-                    strategy="segment-pruned-scan",
+                    strategy="columnar-scan",
                     explanation=(
-                        "no valid-time index available; full transaction range "
-                        "with zone-map segment pruning"
+                        "no valid-time index available; zone-map pruning, then "
+                        "column kernels with late element materialization"
                     ),
                     _thunk=lambda: operators.timeslice_segment_pruned(
                         self.relation, vt, stats=stats

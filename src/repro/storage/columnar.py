@@ -1,8 +1,7 @@
 """Columnar stamp sidecar: flat int64 time-stamp columns + kernels.
 
-Any segment that survives zone-map pruning is still, on the object
-path, a run of Python ``Element`` objects -- and per-object attribute
-access (``is_current``, ``valid_at``, ``stored_during``) dominates the
+Any segment that survives zone-map pruning is still a run of Python
+``Element`` objects -- and per-object attribute access (``is_current``, ``valid_at``, ``stored_during``) dominates the
 cost of every range-shaped operator.  This module moves the predicate
 work off the objects and onto four append-only ``array('q')`` columns
 (``tt_start``, ``tt_stop``, ``vt_start``, ``vt_stop``) plus a live
@@ -23,14 +22,11 @@ Encoding, shared with the zone maps and the storage codecs:
 
 The kernels below take a column set and a position range and return a
 **position list**; callers materialize the surviving ``Element`` objects
-only afterwards (late materialization).  The object path must remain
-available and byte-identical: ``REPRO_COLUMNAR=0`` disables kernel use
-at query time, and stores built under it never carry columns at all.
+only afterwards (late materialization).
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
@@ -45,20 +41,6 @@ if TYPE_CHECKING:
 #: to the zone-map / SQLite / log-file convention; both fit in int64).
 POS_SENTINEL = 2**62
 NEG_SENTINEL = -(2**62)
-
-_COLUMNAR_ENV = "REPRO_COLUMNAR"
-
-
-def columnar_enabled() -> bool:
-    """Column kernels are on unless ``REPRO_COLUMNAR=0``.
-
-    Checked both when a store is built (whether to maintain columns at
-    all) and at query time (whether an operator may use them), so
-    flipping the variable between queries deterministically selects the
-    object path -- the property the differential suite exploits.
-    """
-    return os.environ.get(_COLUMNAR_ENV, "1") != "0"
-
 
 def _point(value: object) -> int:
     """A time point as a sentinel-encoded microsecond coordinate."""

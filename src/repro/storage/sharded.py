@@ -23,8 +23,7 @@ Routed/pruned counts surface in ``explain()`` and in the
 The gather side merges per-shard streams by the globally unique
 ``tt_start`` coordinate (the transaction clock guarantees uniqueness),
 which makes merged full scans, rollbacks, and current-state reads
-byte-identical to the single-store order -- the same re-merge discipline
-``parallel_map_segments`` established for parallel segment scans.
+byte-identical to the single-store order.
 
 Durable sharding adds a crash-safe :meth:`ShardedEngine.rebalance` /
 :meth:`ShardedEngine.split`: moving a hash bucket (or a range boundary)
@@ -64,7 +63,7 @@ from repro.storage import wal
 from repro.storage.base import StorageEngine
 from repro.storage.logfile import LogFileEngine, _encode_element
 from repro.storage.memory import MemoryEngine
-from repro.storage.segments import NEG_SENTINEL, POS_SENTINEL, parallel_map_segments
+from repro.storage.segments import NEG_SENTINEL, POS_SENTINEL
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.relation.schema import TemporalSchema
@@ -608,13 +607,10 @@ class ShardedEngine(StorageEngine):
         so the gather sorts by the globally unique ``tt_start`` -- one
         deterministic order regardless of partitioning.
         """
-        routed = self.route_shards(match)
         shards = self._shards
         results: List[Element] = []
-        for sub in parallel_map_segments(
-            lambda index: list(read(shards[index])), routed, threshold=1
-        ):
-            results.extend(sub)
+        for index in self.route_shards(match):
+            results.extend(read(shards[index]))
         results.sort(key=_tt_key)
         return results
 

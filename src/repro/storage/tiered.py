@@ -13,7 +13,7 @@ view).  Cold segments are served through this manager:
   never decode ``tt_start`` at all, because the transaction-time bisect
   runs on the compressed delta form via the file's block index;
 * **elements** materialize late -- per position for kernel survivors,
-  per segment for object-path scans;
+  per segment for full scans;
 * a small **pin/LRU cache** keeps the most recently touched cold
   segments' decoded state in memory (``REPRO_TIER_CACHE`` segments);
   eviction drops decoded arrays and closes the mapping, which is what
@@ -252,7 +252,7 @@ class TieredSegment:
         return element
 
     def elements(self) -> List["Element"]:
-        """The whole segment materialized (object-path scans)."""
+        """The whole segment materialized (full scans)."""
         self._manager._touch(self)
         rows = self._elements
         if rows is None or any(row is None for row in rows):
@@ -283,9 +283,9 @@ class TieredSegment:
 class TierManager:
     """Owns a tier directory and every demoted segment in it.
 
-    Thread-safe: concurrent readers (parallel segment scans, the
-    server's reader pool) may materialize and decode under the manager
-    lock while a single writer demotes or patches.
+    Thread-safe: concurrent readers (the server's reader pool) may
+    materialize and decode under the manager lock while a single writer
+    demotes or patches.
     """
 
     def __init__(
@@ -558,8 +558,8 @@ class TierManager:
 
 
 def _columns_from_elements(elements: Sequence["Element"]) -> Dict[str, List[int]]:
-    """Stamp-column arrays derived from element objects (demotion path
-    when the store carries no sidecar, and compaction rewrites)."""
+    """Stamp-column arrays derived from element objects (compaction
+    rewrites)."""
     staging = StampColumns()
     staging.extend(elements)
     return {

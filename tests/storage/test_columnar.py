@@ -1,12 +1,9 @@
-"""The columnar stamp sidecar: encoding, kernels, late materialization,
-the object-path fallback -- and the differential property that flipping
-``REPRO_COLUMNAR`` never changes an answer.
+"""The columnar stamp sidecar: encoding, kernels, late materialization
+-- and the differential property that the kernels answer exactly what
+the object predicates do.
 """
 
 from __future__ import annotations
-
-import os
-from contextlib import contextmanager
 
 from hypothesis import given, settings
 
@@ -33,36 +30,23 @@ from repro.storage.columnar import (
     positions_valid_at,
 )
 from repro.storage.memory import MemoryEngine
+from repro.storage.sharded import ShardedEngine
 from tests.storage.test_segments import (
     all_answers,
-    parallel_env,
+    oracle_answers,
     replay,
     segment_workloads,
     signature,
 )
 
 
-@contextmanager
-def columnar_env(value):
-    """Temporarily pin REPRO_COLUMNAR ('0'/'1' or None to unset)."""
-    old = os.environ.get("REPRO_COLUMNAR")
-    if value is None:
-        os.environ.pop("REPRO_COLUMNAR", None)
-    else:
-        os.environ["REPRO_COLUMNAR"] = value
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_COLUMNAR", None)
-        else:
-            os.environ["REPRO_COLUMNAR"] = old
-
-
-def build_events(offsets, specializations=(), segment_size=8, vt_index=False):
+def build_events(
+    offsets, specializations=(), segment_size=8, vt_index=False, engine=None
+):
     schema = TemporalSchema(name="r", specializations=list(specializations))
     clock = SimulatedWallClock(start=0)
-    engine = MemoryEngine(maintain_vt_index=vt_index, segment_size=segment_size)
+    if engine is None:
+        engine = MemoryEngine(maintain_vt_index=vt_index, segment_size=segment_size)
     relation = TemporalRelation(schema, clock=clock, keep_backlog=False, engine=engine)
     for i, offset in enumerate(offsets):
         clock.advance_to(Timestamp(10 * i))
@@ -87,10 +71,8 @@ S = Timestamp(1).microseconds
 
 class TestStampColumnEncoding:
     def test_event_rows_use_unit_intervals(self):
-        with columnar_env("1"):
-            relation, _clock = build_events([3, 7])
+        relation, _clock = build_events([3, 7])
         columns = relation.engine.transaction_index.store.columns
-        assert columns is not None
         assert list(columns.tt_start) == [0, 10 * S]
         # Open existence intervals carry the positive sentinel.
         assert list(columns.tt_stop) == [POS_SENTINEL, POS_SENTINEL]
@@ -102,8 +84,7 @@ class TestStampColumnEncoding:
         assert positions_valid_at(columns, 0, 2, 3 * S + 1) == []
 
     def test_interval_rows_keep_half_open_bounds(self):
-        with columnar_env("1"):
-            relation, _clock = build_intervals([(5, 20), (30, 40)])
+        relation, _clock = build_intervals([(5, 20), (30, 40)])
         columns = relation.engine.transaction_index.store.columns
         assert list(columns.vt_start) == [5 * S, 30 * S]
         assert list(columns.vt_stop) == [20 * S, 40 * S]
@@ -117,12 +98,9 @@ class TestStampColumnEncoding:
     def test_unbounded_interval_endpoints_become_sentinels(self):
         schema = TemporalSchema(name="r", valid_time_kind=ValidTimeKind.INTERVAL)
         clock = SimulatedWallClock(start=0)
-        with columnar_env("1"):
-            engine = MemoryEngine(maintain_vt_index=False, segment_size=8)
-            relation = TemporalRelation(
-                schema, clock=clock, keep_backlog=False, engine=engine
-            )
-            relation.insert("o", Interval(Timestamp(5), FOREVER), {})
+        engine = MemoryEngine(maintain_vt_index=False, segment_size=8)
+        relation = TemporalRelation(schema, clock=clock, keep_backlog=False, engine=engine)
+        relation.insert("o", Interval(Timestamp(5), FOREVER), {})
         columns = engine.transaction_index.store.columns
         assert list(columns.vt_start) == [5 * S]
         assert list(columns.vt_stop) == [POS_SENTINEL]
@@ -131,11 +109,10 @@ class TestStampColumnEncoding:
         assert positions_valid_at(columns, 0, 1, 10**15) == [0]
 
     def test_close_rewrites_tt_stop_and_clears_live_bit(self):
-        with columnar_env("1"):
-            relation, clock = build_events([0, 0, 0])
-            clock.advance_to(Timestamp(1000))
-            victim = relation.all_elements()[1]
-            relation.delete(victim.element_surrogate)
+        relation, clock = build_events([0, 0, 0])
+        clock.advance_to(Timestamp(1000))
+        victim = relation.all_elements()[1]
+        relation.delete(victim.element_surrogate)
         columns = relation.engine.transaction_index.store.columns
         assert bytes(columns.live) == b"\x01\x00\x01"
         assert columns.tt_stop[1] == 1000 * S
@@ -146,16 +123,10 @@ class TestStampColumnEncoding:
         # ...and not at or after it (half-open existence interval).
         assert positions_stored_at(columns, 0, 3, 1000 * S) == [0, 2]
 
-    def test_stores_built_without_columnar_carry_no_columns(self):
-        with columnar_env("0"):
-            relation, _clock = build_events([0] * 4)
-        assert relation.engine.transaction_index.store.columns is None
-
     def test_memory_bytes_tracks_row_count(self):
         columns = StampColumns()
         assert columns.memory_bytes() == 0
-        with columnar_env("1"):
-            relation, _clock = build_events([0] * 10)
+        relation, _clock = build_events([0] * 10)
         sidecar = relation.engine.transaction_index.store.columns
         assert sidecar.memory_bytes() == 10 * (4 * 8 + 1)
 
@@ -169,139 +140,72 @@ class TestLateMaterialization:
         return report
 
     def test_every_range_operator_reports_columnar_counts(self):
-        with columnar_env("1"):
-            relation, clock = build_events([0] * 64)
-            bounded, _ = build_events(
-                [(-1) ** i * 4 for i in range(64)],
-                specializations=["strongly bounded(5s, 5s)"],
-            )
-            clock.advance_to(Timestamp(1000))
-            cases = [
-                (relation, ValidTimeslice(Scan(relation), Timestamp(0)), "columnar-scan"),
-                (relation, Rollback(Scan(relation), Timestamp(300)), "rollback-prefix"),
-                (
-                    relation,
-                    BitemporalSlice(Scan(relation), vt=Timestamp(0), tt=Timestamp(500)),
-                    "bitemporal-prefix",
-                ),
-                (
-                    bounded,
-                    ValidTimeslice(Scan(bounded), Timestamp(104)),
-                    "bounded-tt-window",
-                ),
-                (
-                    bounded,
-                    ValidOverlap(
-                        Scan(bounded), Interval(Timestamp(100), Timestamp(140))
-                    ),
-                    "bounded-tt-window-overlap",
-                ),
-            ]
-            for rel, query, strategy in cases:
-                report = self.probe(rel, query, strategy)
-                assert report.columnar_positions_examined is not None, strategy
-                assert report.columnar_elements_materialized is not None, strategy
-                assert (
-                    report.columnar_elements_materialized
-                    <= report.columnar_positions_examined
-                ), strategy
-                assert report.columnar_elements_materialized == report.returned
-                assert "columnar  :" in report.render()
-
-    def test_object_path_reports_no_columnar_counts(self):
-        with columnar_env("0"):
-            relation, _clock = build_events([0] * 64)
-            report = self.probe(
+        relation, clock = build_events([0] * 64)
+        bounded, _ = build_events(
+            [(-1) ** i * 4 for i in range(64)],
+            specializations=["strongly bounded(5s, 5s)"],
+        )
+        sharded, _ = build_events(
+            [0] * 64,
+            engine=ShardedEngine(shard_count=4, maintain_vt_index=False, segment_size=8),
+        )
+        clock.advance_to(Timestamp(1000))
+        cases = [
+            (relation, ValidTimeslice(Scan(relation), Timestamp(0)), "columnar-scan"),
+            (relation, Rollback(Scan(relation), Timestamp(300)), "rollback-prefix"),
+            (
                 relation,
-                ValidTimeslice(Scan(relation), Timestamp(0)),
-                "segment-pruned-scan",
-            )
-        assert report.columnar_positions_examined is None
-        assert report.columnar_elements_materialized is None
-        assert "columnar  :" not in report.render()
+                BitemporalSlice(Scan(relation), vt=Timestamp(0), tt=Timestamp(500)),
+                "bitemporal-prefix",
+            ),
+            (
+                bounded,
+                ValidTimeslice(Scan(bounded), Timestamp(104)),
+                "bounded-tt-window",
+            ),
+            (
+                bounded,
+                ValidOverlap(
+                    Scan(bounded), Interval(Timestamp(100), Timestamp(140))
+                ),
+                "bounded-tt-window-overlap",
+            ),
+            (sharded, ValidTimeslice(Scan(sharded), Timestamp(0)), "columnar-scan"),
+        ]
+        for rel, query, strategy in cases:
+            report = self.probe(rel, query, strategy)
+            assert report.columnar_positions_examined is not None, strategy
+            assert report.columnar_elements_materialized is not None, strategy
+            assert (
+                report.columnar_elements_materialized
+                <= report.columnar_positions_examined
+            ), strategy
+            assert report.columnar_elements_materialized == report.returned
+            assert "columnar  :" in report.render()
 
     def test_examined_counts_match_across_paths(self):
-        """`examined` keeps its meaning (rows the scan touched), so the
-        baseline-checked counters are identical on both paths."""
-        with columnar_env("1"):
-            relation, _clock = build_events([0] * 64)
-            query = ValidTimeslice(Scan(relation), Timestamp(0))
-            columnar = relation.explain(query)
-            with columnar_env("0"):
-                fallback = relation.explain(query)
-        assert columnar.examined == fallback.examined == 8
-        assert columnar.segments_scanned == fallback.segments_scanned == 1
-        assert columnar.segments_pruned == fallback.segments_pruned == 7
-        assert signature(columnar.results) == signature(fallback.results)
-
-
-class TestDynamicFallback:
-    """Flipping REPRO_COLUMNAR at query time deterministically selects
-    the path, even on stores that already carry columns."""
-
-    def test_columnar_store_uses_object_path_when_disabled(self):
-        with columnar_env("1"):
-            relation, _clock = build_events([0] * 32)
-        assert relation.engine.transaction_index.store.columns is not None
-        with columnar_env("0"):
-            assert not operators.columnar_active(relation)
-            stats = operators.SegmentStats()
-            matches, _examined = operators.timeslice_segment_pruned(
-                relation, Timestamp(0), stats
-            )
-            assert stats.columnar is False
-            assert stats.positions_examined == 0
-            disabled = signature(matches)
-        with columnar_env("1"):
-            assert operators.columnar_active(relation)
-            stats = operators.SegmentStats()
-            matches, _examined = operators.timeslice_segment_pruned(
-                relation, Timestamp(0), stats
-            )
-            assert stats.columnar is True
-            assert stats.positions_examined > 0
-            assert stats.materialized == len(matches)
-            enabled = signature(matches)
-        assert enabled == disabled
-
-    def test_object_store_never_goes_columnar(self):
-        with columnar_env("0"):
-            relation, _clock = build_events([0] * 32)
-        with columnar_env("1"):
-            # No sidecar was built, so the kernels cannot run.
-            assert not operators.columnar_active(relation)
-            stats = operators.SegmentStats()
-            operators.timeslice_segment_pruned(relation, Timestamp(0), stats)
-            assert stats.columnar is False
-
-    def test_parallel_workers_return_position_lists(self):
-        with columnar_env("1"), parallel_env("1"):
-            relation, _clock = build_events([0] * 80, segment_size=4)
-            stats = operators.SegmentStats()
-            matches, _examined = operators.timeslice_segment_pruned(
-                relation, Timestamp(0), stats
-            )
-            assert stats.columnar is True
-        with columnar_env("1"), parallel_env("0"):
-            sequential, _examined = operators.timeslice_segment_pruned(
-                relation, Timestamp(0)
-            )
-        assert signature(matches) == signature(sequential)
+        """`examined` counts the rows the segment scan touched, and the
+        kernel answer equals the object full scan's."""
+        relation, _clock = build_events([0] * 64)
+        report = relation.explain(ValidTimeslice(Scan(relation), Timestamp(0)))
+        reference, full_examined = operators.timeslice_full_scan(relation, Timestamp(0))
+        assert report.examined == 8
+        assert full_examined == 64
+        assert report.segments_scanned == 1
+        assert report.segments_pruned == 7
+        assert signature(report.results) == signature(reference)
 
 
 class TestCurrentStateFeed:
     def test_view_rebuild_matches_object_scan(self):
-        with columnar_env("1"):
-            relation, clock = build_events([0] * 40, segment_size=8)
-            clock.advance_to(Timestamp(2000))
-            for element in relation.all_elements()[::3]:
-                relation.delete(element.element_surrogate)
-            store = relation.engine.transaction_index.store
-            store.invalidate_view()
-            from_columns = signature(relation.engine.current())
-        with columnar_env("0"):
-            store.invalidate_view()
-            from_objects = signature(relation.engine.current())
+        relation, clock = build_events([0] * 40, segment_size=8)
+        clock.advance_to(Timestamp(2000))
+        for element in relation.all_elements()[::3]:
+            relation.delete(element.element_surrogate)
+        engine = relation.engine
+        engine.transaction_index.store.invalidate_view()
+        from_columns = signature(engine.current())
+        from_objects = signature([e for e in engine.scan() if e.is_current])
         assert from_columns == from_objects
         assert len(from_columns) == relation.live_count()
 
@@ -312,24 +216,19 @@ class TestCurrentStateFeed:
 @settings(deadline=None)
 @given(segment_workloads())
 def test_columnar_and_object_paths_match(workload):
-    """Element-for-element identical answers: columnar on/off, segment
-    sizes tiny and default, parallelism on and off.
+    """Element-for-element identical answers: the column kernels at
+    segment sizes tiny and default against the object oracle.
 
-    The reference is the object path on a never-sealing store run
-    sequentially; every other configuration must agree on every read
-    path (scan, current, as-of, valid-at, overlap, and the range-shaped
-    operators) after the same randomized interleaving of appends,
-    batches, logical deletes, and vacuums.
+    The oracle evaluates object predicates over ``engine.scan()`` (the
+    ``StorageEngine`` reference methods and the full-scan operators);
+    every segment size must agree on every read path (scan, current,
+    as-of, valid-at, overlap, and the range-shaped operators) after the
+    same randomized interleaving of appends, batches, logical deletes,
+    and vacuums.
     """
     ops, probes = workload
-    with columnar_env("0"), parallel_env("0"):
-        reference = all_answers(replay(ops, 100_000), probes)
-    for columnar in ("1", "0"):
-        for segment_size in (2, 5, None):
-            for parallel in ("0", "1"):
-                with columnar_env(columnar), parallel_env(parallel):
-                    answers = all_answers(replay(ops, segment_size), probes)
-                assert answers == reference, (
-                    f"divergence at columnar={columnar} "
-                    f"segment_size={segment_size} parallel={parallel}"
-                )
+    for segment_size in (2, 5, None):
+        relation = replay(ops, segment_size)
+        assert all_answers(relation, probes) == oracle_answers(relation, probes), (
+            f"divergence at segment_size={segment_size}"
+        )

@@ -37,12 +37,7 @@ from repro.storage.segfile import (
 from repro.storage.sharded import ShardedEngine
 from repro.storage.tiered import TierManager, _columns_from_elements, tiered_enabled
 from repro.storage.vacuum import vacuum_engine
-from tests.storage.test_segments import (
-    all_answers,
-    parallel_env,
-    replay,
-    segment_workloads,
-)
+from tests.storage.test_segments import all_answers, replay, segment_workloads
 
 
 @contextmanager
@@ -188,12 +183,11 @@ def test_tiered_engines_match_flat_scan(workload):
     cache (evictions force reopen+decode) vs REPRO_TIERED=0 (forced off
     even though a segment size is set)."""
     ops, probes = workload
-    with parallel_env("0"):
-        with tiered_env("0"):
-            reference = all_answers(replay(ops, 100_000), probes)
-            flat_small = all_answers(replay(ops, 4), probes)
-        with tiered_env("1", cache="1"):
-            tiered = all_answers(replay(ops, 4), probes)
+    with tiered_env("0"):
+        reference = all_answers(replay(ops, 100_000), probes)
+        flat_small = all_answers(replay(ops, 4), probes)
+    with tiered_env("1", cache="1"):
+        tiered = all_answers(replay(ops, 4), probes)
     assert flat_small == reference
     assert tiered == reference
 
@@ -204,13 +198,12 @@ def test_tiered_compact_preserves_answers(workload):
     """Explicit compaction (demote everything + fold patches) between
     the workload and the probes changes no answer."""
     ops, probes = workload
-    with parallel_env("0"):
-        with tiered_env("0"):
-            reference = all_answers(replay(ops, 100_000), probes)
-        with tiered_env("1", cache="2"):
-            relation = replay(ops, 4)
-            relation.engine.transaction_index.store.compact()
-            compacted = all_answers(relation, probes)
+    with tiered_env("0"):
+        reference = all_answers(replay(ops, 100_000), probes)
+    with tiered_env("1", cache="2"):
+        relation = replay(ops, 4)
+        relation.engine.transaction_index.store.compact()
+        compacted = all_answers(relation, probes)
     assert compacted == reference
 
 
@@ -280,8 +273,6 @@ class TestVacuumTiering:
             for i in range(48):
                 engine.append(make_element(i))
             store = engine.transaction_index.store
-            if store.columns is None:  # REPRO_COLUMNAR=0 leg: nothing to carry
-                return
             store.columns.sorted_starts(0, 8)
             store.columns.sorted_starts(40, 48)
             engine.close_element(44, ts(1000))
