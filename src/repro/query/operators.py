@@ -635,10 +635,12 @@ def timeslice_segment_pruned(
 # -- engine-delegated access ------------------------------------------------------------
 
 
-def timeslice_engine_index(relation: TemporalRelation, vt: Timestamp) -> Result:
+def timeslice_engine_index(
+    relation: TemporalRelation, vt: Timestamp, as_of_tt: Optional[TimePoint] = None
+) -> Result:
     """Delegate to the engine's own valid-time index (memory vt index /
-    interval tree, or SQLite's B-tree)."""
-    results = list(relation.engine.valid_at(vt))
+    interval tree, or SQLite's B-tree), pinned at *as_of_tt* when given."""
+    results = list(relation.engine.valid_at(vt, as_of_tt=as_of_tt))
     return results, len(results)
 
 

@@ -20,7 +20,10 @@ Rules, in preference order, for a valid timeslice:
 6. full scan.
 
 Rollback queries always use the append-order binary search (uniqueness
-and monotonicity of transaction time need no declaration).  Any tree
+and monotonicity of transaction time need no declaration).  A bitemporal
+slice of an event relation takes the engine's pin-aware valid-time index
+when there is one (unsharded), else the same tt-prefix search with a vt
+filter.  Any tree
 shape the rules do not cover falls back to the reference executor, so
 planning never changes results -- property-tested in the suite.
 """
@@ -366,6 +369,30 @@ class Planner:
                 segment_stats=stats,
             )
         if isinstance(query, ast.BitemporalSlice) and self._is_scan(query.child):
+            engine = self.relation.engine
+            if (
+                self.relation.schema.is_event
+                and getattr(engine, "has_vt_index", False)
+                and not getattr(engine, "is_sharded", False)
+            ):
+                decisions.append(
+                    "pinned-vt-index: event relation with a valid-time index; "
+                    "candidates at vt, kept when stored at tt"
+                )
+                return PlannedQuery(
+                    strategy="pinned-vt-index",
+                    explanation=(
+                        "engine valid-time index: binary search for vt, then keep "
+                        "the candidates stored at tt -- O(log n + matches at vt)"
+                    ),
+                    _thunk=lambda: operators.timeslice_engine_index(
+                        self.relation, query.vt, as_of_tt=query.tt
+                    ),
+                )
+            decisions.append(
+                "pinned-vt-index: pruned -- needs an event relation with a "
+                "valid-time index on an unsharded engine"
+            )
             decisions.append("bitemporal slice: tt prefix is free, vt filters the prefix")
             stats = operators.SegmentStats() if self._has_memory_index else None
             return PlannedQuery(

@@ -919,9 +919,9 @@ class TemporalServer:
                 target = _tql.parse(statement.tql).relation_name
             except TQLError:
                 pass  # let execute() report the parse error uncached
-        # The planner's strategy surface (current-state views, vt
-        # indexes, columnar kernels) is not pinned-safe, so TQL runs
-        # serialized with the writer -- and chooses exactly the
+        # The planner's strategy surface (current-state views, the
+        # interval tree, columnar kernels) is not pinned-safe, so TQL
+        # runs serialized with the writer -- and chooses exactly the
         # strategies the embedded library would.
         async with self._write_lock:
             # The pin must be read under the lock: the writer advances

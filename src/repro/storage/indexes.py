@@ -8,7 +8,8 @@
   valid times.  When the relation is declared *non-decreasing* or
   *sequential* (Section 3.2), insertions arrive already sorted and the
   index degenerates to an append -- the "valid time can be approximated
-  with transaction time" payoff.
+  with transaction time" payoff.  It serves epoch-pinned reads too, from
+  reader threads beside the writer.
 * :class:`BoundedWindow` -- for relations with bounded specializations,
   converts a valid-time point into the only transaction-time window
   that can contain matching elements (benchmark E8).
@@ -99,24 +100,41 @@ class ValidTimeEventIndex:
     order; for declared sequential/non-decreasing relations this stays
     true and each insertion is a pure append.  ``appended_in_order`` is
     exposed so benchmarks can verify the claimed behaviour.
+
+    Publication rule -- readers run lock-free beside one writer:
+
+    * the index is one ``(keys, elements)`` pair, which every read
+      captures once;
+    * an in-order append extends ``elements`` before ``keys``, in place,
+      so every key a reader can see already has its element beside it
+      (amortized O(1), no copy);
+    * every other mutation builds new lists and publishes them with a
+      single assignment, so a pair a reader already holds never changes
+      under it.
+
+    List extends and attribute assignment are atomic under the GIL, so
+    a reader sees the index as of some moment, never a key next to the
+    wrong element.
     """
 
     def __init__(self) -> None:
-        self._keys: List[int] = []
-        self._elements: List[Element] = []
+        self._published: Tuple[List[int], List[Element]] = ([], [])
         self.appended_in_order = 0
         self.inserted_out_of_order = 0
 
     def add(self, element: Element) -> None:
         key = element.vt.microseconds  # type: ignore[union-attr]
-        if not self._keys or key >= self._keys[-1]:
-            self._keys.append(key)
-            self._elements.append(element)
+        keys, elements = self._published
+        if not keys or key >= keys[-1]:
+            elements.append(element)
+            keys.append(key)
             self.appended_in_order += 1
             return
-        position = bisect.bisect_right(self._keys, key)
-        self._keys.insert(position, key)
-        self._elements.insert(position, element)
+        position = bisect.bisect_right(keys, key)
+        self._published = (
+            keys[:position] + [key] + keys[position:],
+            elements[:position] + [element] + elements[position:],
+        )
         self.inserted_out_of_order += 1
 
     def extend(self, batch: Sequence[Element]) -> None:
@@ -124,56 +142,62 @@ class ValidTimeEventIndex:
 
         Sorted batches arriving at or after the current maximum key (the
         declared non-decreasing / sequential case) degenerate to two
-        list extends; anything else is one merge of the existing sorted
-        run with the sorted batch -- O(n + k) instead of the O(k·n)
-        worst case of k repeated ``insert`` calls.
+        in-place list extends; anything else is one merge of the
+        existing sorted run with the sorted batch -- O(n + k) instead of
+        the O(k·n) worst case of k repeated ``insert`` calls -- published
+        as a new pair.
         """
         if not batch:
             return
-        keys = [element.vt._micro for element in batch]  # type: ignore[union-attr]
-        ordered = sorted(keys)
-        if keys == ordered:
-            if not self._keys or keys[0] >= self._keys[-1]:
-                self._keys.extend(keys)
-                self._elements.extend(batch)
+        batch_keys = [element.vt._micro for element in batch]  # type: ignore[union-attr]
+        keys, elements = self._published
+        if batch_keys == sorted(batch_keys):
+            if not keys or batch_keys[0] >= keys[-1]:
+                elements.extend(batch)
+                keys.extend(batch_keys)
                 self.appended_in_order += len(batch)
                 return
-            keyed = list(zip(keys, batch))
+            keyed = list(zip(batch_keys, batch))
         else:
             # Stable, and never compares elements: ties keep batch order.
-            keyed = sorted(zip(keys, batch), key=itemgetter(0))
-        if not self._keys:
-            self._keys = ordered
-            self._elements = [element for _key, element in keyed]
-            self.inserted_out_of_order += len(batch)
-            return
-        # Stable sort of two concatenated sorted runs is a single merge
-        # pass for timsort, and keeps existing elements first among equal
-        # keys -- matching the bisect_right behaviour of repeated single
-        # inserts.
-        merged = list(zip(self._keys, self._elements))
-        merged.extend(keyed)
-        merged.sort(key=itemgetter(0))
-        self._keys = [key for key, _element in merged]
-        self._elements = [element for _key, element in merged]
+            keyed = sorted(zip(batch_keys, batch), key=itemgetter(0))
+        if keys:
+            # Stable sort of two concatenated sorted runs is a single
+            # merge pass for timsort, and keeps existing elements first
+            # among equal keys -- matching the bisect_right behaviour of
+            # repeated single inserts.
+            merged = list(zip(keys, elements))
+            merged.extend(keyed)
+            merged.sort(key=itemgetter(0))
+            keyed = merged
+        self._published = (
+            [key for key, _element in keyed],
+            [element for _key, element in keyed],
+        )
         self.inserted_out_of_order += len(batch)
 
-    def at(self, vt: Timestamp) -> Iterator[Element]:
-        """All elements with exactly this valid time."""
+    def at(self, vt: Timestamp) -> List[Element]:
+        """All elements with exactly this valid time, in insertion order."""
+        keys, elements = self._published
         key = vt.microseconds
-        position = bisect.bisect_left(self._keys, key)
-        while position < len(self._keys) and self._keys[position] == key:
-            yield self._elements[position]
-            position += 1
+        start = bisect.bisect_left(keys, key)
+        return elements[start : bisect.bisect_right(keys, key, start)]
 
-    def between(self, low: Timestamp, high: Timestamp) -> Iterator[Element]:
-        """Elements with ``low <= vt < high`` (half-open, like intervals)."""
-        start = bisect.bisect_left(self._keys, low.microseconds)
-        stop = bisect.bisect_left(self._keys, high.microseconds)
-        yield from self._elements[start:stop]
+    def between(self, low: TimePoint, high: TimePoint) -> List[Element]:
+        """Elements with ``low <= vt < high`` (half-open, like intervals);
+        an infinite bound leaves its side open."""
+        keys, elements = self._published
+        return elements[_key_bound(keys, low) : _key_bound(keys, high)]
 
     def __len__(self) -> int:
-        return len(self._elements)
+        return len(self._published[1])
+
+
+def _key_bound(keys: List[int], point: TimePoint) -> int:
+    """The first index of *keys* at or after *point*."""
+    if isinstance(point, Timestamp):
+        return bisect.bisect_left(keys, point.microseconds)
+    return len(keys) if point.is_positive else 0
 
 
 class BoundedWindow:

@@ -8,7 +8,7 @@ operators the planner chooses among.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.chronos.interval import Interval
 from repro.chronos.timestamp import TimePoint, Timestamp
@@ -23,13 +23,17 @@ from repro.storage.tiered import TierManager
 class MemoryEngine(StorageEngine):
     """Append-ordered in-memory storage with secondary indexes."""
 
-    #: Epoch-pinned reads (rollback / AS-OF prefix scans over the
-    #: append-only store) are safe from other threads while a single
+    #: Epoch-pinned reads are safe from other threads while a single
     #: writer mutates: list appends and element replacement are atomic
     #: under the GIL, and the pinned predicate excludes anything the
-    #: writer adds or closes after the pin.  Only the *pinned* read
-    #: paths carry this guarantee -- current-view iteration and the
-    #: valid-time indexes do not.
+    #: writer adds or closes after the pin.  The pinned read paths are
+    #: the rollback / AS-OF prefix scans over the append-only store and
+    #: pinned timeslice / overlap reads through the event valid-time
+    #: index, whose publication rule (see :class:`ValidTimeEventIndex`)
+    #: never shows a reader a half-made update.  Only these paths carry
+    #: the guarantee -- current-view iteration and the interval tree
+    #: (rebuilt lazily on read) do not, so pinned interval reads fall
+    #: back to the prefix scan.
     supports_concurrent_reads = True
 
     def __init__(
@@ -206,79 +210,85 @@ class MemoryEngine(StorageEngine):
             if element.stored_during(tt)
         )
 
+    def _read_indexes(
+        self, as_of_tt: Optional[TimePoint]
+    ) -> Optional[Tuple[Optional[IntervalTree], Optional[ValidTimeEventIndex]]]:
+        """The valid-time indexes that answer this read, or ``None`` when
+        it must scan; counts the hit or miss.
+
+        Pinned reads take event-index candidates like unpinned ones.
+        The interval tree rebuilds itself lazily on read, so it is not
+        safe beside a writer: pinned reads of interval data scan the tt
+        prefix instead.  Each index is read once here, so a tree the
+        writer creates after the check is never touched by a pinned read
+        (its elements all postdate the pin).
+        """
+        intervals = self._vt_intervals
+        served = self._maintain_vt_index and (as_of_tt is None or intervals is None)
+        if _metrics.enabled():
+            outcome = "hits" if served else "misses"
+            _metrics.registry().counter(f"storage.memory.vt_index_{outcome}").inc()
+        return (intervals, self._vt_events) if served else None
+
+    def _visible(
+        self, positions: Iterable[int], as_of_tt: Optional[TimePoint]
+    ) -> Iterator[Element]:
+        """Re-read candidate *positions* from the store in position (tt)
+        order and keep those in the state being read: the current state,
+        or the rollback state at *as_of_tt*.
+
+        The indexes may hold stale (since-closed) copies, so the store is
+        re-read by position rather than paying a full get() per
+        candidate.  Sorting positions first makes the indexed paths yield
+        the same canonical tt order as the scan fallback and the sharded
+        gather.
+        """
+        element_at = self._tt_index.element_at
+        for position in sorted(positions):
+            element = element_at(position)
+            if element.is_current if as_of_tt is None else element.stored_during(as_of_tt):
+                yield element
+
     def valid_at(
         self, vt: Timestamp, as_of_tt: Optional[TimePoint] = None
     ) -> Iterator[Element]:
-        if as_of_tt is not None or not self._maintain_vt_index:
-            if _metrics.enabled():
-                _metrics.registry().counter("storage.memory.vt_index_misses").inc()
+        indexes = self._read_indexes(as_of_tt)
+        if indexes is None:
             yield from super().valid_at(vt, as_of_tt)
             return
-        if _metrics.enabled():
-            _metrics.registry().counter("storage.memory.vt_index_hits").inc()
-        # Resolve positions once per call; the indexes may hold stale
-        # (since-closed) copies, so re-read the store by position rather
-        # than paying a full get() per candidate.  Candidate positions
-        # are sorted before materializing: position order is append
-        # order, so the fast path yields the same canonical tt order as
-        # the scan fallback and the sharded gather.
+        intervals, events = indexes
         positions = self._positions
-        tt_index = self._tt_index
         candidates: List[int] = []
-        if self._vt_intervals is not None:
+        if intervals is not None:
+            candidates.extend(positions[surrogate] for surrogate in intervals.stab(vt))
+        if events is not None:
             candidates.extend(
-                positions[surrogate] for surrogate in self._vt_intervals.stab(vt)
+                positions[candidate.element_surrogate] for candidate in events.at(vt)
             )
-        if self._vt_events is not None:
-            candidates.extend(
-                positions[candidate.element_surrogate]
-                for candidate in self._vt_events.at(vt)
-            )
-        candidates.sort()
-        for position in candidates:
-            element = tt_index.element_at(position)
-            if element.is_current:
-                yield element
+        yield from self._visible(candidates, as_of_tt)
 
     def valid_overlapping(
         self, window: Interval, as_of_tt: Optional[TimePoint] = None
     ) -> Iterator[Element]:
-        if as_of_tt is not None or not self._maintain_vt_index:
-            if _metrics.enabled():
-                _metrics.registry().counter("storage.memory.vt_index_misses").inc()
+        indexes = self._read_indexes(as_of_tt)
+        if indexes is None:
             yield from super().valid_overlapping(window, as_of_tt)
             return
-        if _metrics.enabled():
-            _metrics.registry().counter("storage.memory.vt_index_hits").inc()
-        # Sorted-by-position for the same reason as valid_at: canonical
-        # tt order on every read path, index-accelerated or not.
+        # Both indexes guarantee the overlap: the interval tree by its
+        # search, the event index by bracketing ``start <= vt < end``.
+        intervals, events = indexes
         positions = self._positions
-        tt_index = self._tt_index
-        merged: List[int] = []
-        if self._vt_intervals is not None:
-            merged.extend(
-                positions[surrogate]
-                for surrogate in self._vt_intervals.overlapping(window)
+        candidates: List[int] = []
+        if intervals is not None:
+            candidates.extend(
+                positions[surrogate] for surrogate in intervals.overlapping(window)
             )
-        if self._vt_events is not None:
-            if isinstance(window.start, Timestamp) and isinstance(window.end, Timestamp):
-                candidates = self._vt_events.between(window.start, window.end)
-            else:
-                # Unbounded window: the sorted index cannot bracket it.
-                candidates = (e for e in self.scan() if not isinstance(e.vt, Interval))
-            merged.extend(
-                positions[candidate.element_surrogate] for candidate in candidates
+        if events is not None:
+            candidates.extend(
+                positions[candidate.element_surrogate]
+                for candidate in events.between(window.start, window.end)
             )
-        merged.sort()
-        for position in merged:
-            element = tt_index.element_at(position)
-            if not element.is_current:
-                continue
-            if isinstance(element.vt, Interval):
-                # The interval tree already guaranteed the overlap.
-                yield element
-            elif window.contains_point(element.vt):
-                yield element
+        yield from self._visible(candidates, as_of_tt)
 
     # -- introspection ------------------------------------------------------------------
 

@@ -234,55 +234,63 @@ class SQLiteEngine(StorageEngine):
     # -- temporal access via SQL ------------------------------------------------------
 
     def current(self) -> Iterator[Element]:
+        return self._select_in_state(None, "1", ())
+
+    @staticmethod
+    def _state_clause(
+        as_of_tt: Optional[TimePoint],
+    ) -> Optional[Tuple[str, Tuple[int, ...]]]:
+        """The SQL predicate (and its parameters) selecting the current
+        state, or the rollback state at *as_of_tt*; ``None`` when that
+        state is empty (rollback to NEGATIVE_INFINITY).  FOREVER is the
+        limit state, which equals the current state."""
+        if as_of_tt is None or as_of_tt is FOREVER:
+            return "tt_stop IS NULL", ()
+        if not isinstance(as_of_tt, Timestamp):
+            return None
+        tt = as_of_tt.microseconds
+        return "tt_start <= ? AND (tt_stop IS NULL OR tt_stop > ?)", (tt, tt)
+
+    def _select_in_state(
+        self, as_of_tt: Optional[TimePoint], predicate: str, params: Tuple[int, ...]
+    ) -> Iterator[Element]:
+        """Rows in the (current or rolled-back) state matching *predicate*,
+        in tt order."""
+        state = self._state_clause(as_of_tt)
+        if state is None:
+            return
+        where, state_params = state
         cursor = self._connection.execute(
-            "SELECT * FROM elements WHERE tt_stop IS NULL ORDER BY tt_start"
+            f"SELECT * FROM elements WHERE {where} AND ({predicate}) ORDER BY tt_start",
+            state_params + params,
         )
         yield from self._emit(cursor)
 
     def as_of(self, tt: TimePoint) -> Iterator[Element]:
-        if not isinstance(tt, Timestamp):
-            if tt.is_positive:
-                yield from self.current()
-            return
-        where = "tt_start <= ? AND (tt_stop IS NULL OR tt_stop > ?)"
-        params = (tt.microseconds, tt.microseconds)
-        cursor = self._connection.execute(
-            f"SELECT * FROM elements WHERE {where} ORDER BY tt_start", params
-        )
-        yield from self._emit(cursor)
+        return self._select_in_state(tt, "1", ())
 
     def valid_at(
         self, vt: Timestamp, as_of_tt: Optional[TimePoint] = None
     ) -> Iterator[Element]:
-        if as_of_tt is not None:
-            yield from super().valid_at(vt, as_of_tt)
-            return
         coordinate = vt.microseconds
-        cursor = self._connection.execute(
-            "SELECT * FROM elements WHERE tt_stop IS NULL AND ("
-            " (vt_kind = 'event' AND vt_start = ?) OR"
-            " (vt_kind = 'interval' AND vt_start <= ? AND vt_end > ?)"
-            ") ORDER BY tt_start",
+        return self._select_in_state(
+            as_of_tt,
+            "(vt_kind = 'event' AND vt_start = ?) OR"
+            " (vt_kind = 'interval' AND vt_start <= ? AND vt_end > ?)",
             (coordinate, coordinate, coordinate),
         )
-        yield from self._emit(cursor)
 
     def valid_overlapping(
         self, window: Interval, as_of_tt: Optional[TimePoint] = None
     ) -> Iterator[Element]:
-        if as_of_tt is not None:
-            yield from super().valid_overlapping(window, as_of_tt)
-            return
         low = _encode_point(window.start)
         high = _encode_point(window.end)
-        cursor = self._connection.execute(
-            "SELECT * FROM elements WHERE tt_stop IS NULL AND ("
-            " (vt_kind = 'event' AND vt_start >= ? AND vt_start < ?) OR"
-            " (vt_kind = 'interval' AND vt_start < ? AND vt_end > ?)"
-            ") ORDER BY tt_start",
+        return self._select_in_state(
+            as_of_tt,
+            "(vt_kind = 'event' AND vt_start >= ? AND vt_start < ?) OR"
+            " (vt_kind = 'interval' AND vt_start < ? AND vt_end > ?)",
             (low, high, high, low),
         )
-        yield from self._emit(cursor)
 
     # -- codecs --------------------------------------------------------------------------
 

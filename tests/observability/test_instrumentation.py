@@ -6,12 +6,14 @@ import tempfile
 import pytest
 
 from repro.chronos.clock import SimulatedWallClock
+from repro.chronos.interval import Interval
 from repro.chronos.timestamp import Timestamp
 from repro.observability import metrics
 from repro.query import Planner, Scan, ValidTimeslice
-from repro.relation.schema import TemporalSchema
+from repro.relation.schema import TemporalSchema, ValidTimeKind
 from repro.relation.temporal_relation import TemporalRelation
 from repro.storage.logfile import LogFileEngine
+from repro.storage.memory import MemoryEngine
 from repro.storage.sqlite_backend import SQLiteEngine
 
 
@@ -56,14 +58,41 @@ class TestMemoryEngine:
         assert counters["storage.memory.rows_appended"] == 100
 
     def test_vt_index_hit_and_miss(self, registry):
-        relation, _clock = build()
+        relation, _clock = build(engine=MemoryEngine())
         relation.append_many(rows(10))
         list(relation.engine.valid_at(Timestamp(50)))
         counters = registry.snapshot()["counters"]
         assert counters.get("storage.memory.vt_index_hits", 0) == 1
+        # A pinned event read takes its candidates from the same index.
+        window = Interval(Timestamp(0), Timestamp(50))
         list(relation.engine.valid_at(Timestamp(50), as_of_tt=Timestamp(5)))
+        list(relation.engine.valid_overlapping(window, as_of_tt=Timestamp(5)))
         counters = registry.snapshot()["counters"]
-        assert counters.get("storage.memory.vt_index_misses", 0) == 1
+        assert counters.get("storage.memory.vt_index_hits", 0) == 3
+        assert counters.get("storage.memory.vt_index_misses", 0) == 0
+
+    def test_vt_index_misses(self, registry):
+        # No index at all: every read scans.
+        unindexed, _clock = build(engine=MemoryEngine(maintain_vt_index=False))
+        unindexed.append_many(rows(10))
+        list(unindexed.engine.valid_at(Timestamp(50), as_of_tt=Timestamp(5)))
+        assert registry.snapshot()["counters"]["storage.memory.vt_index_misses"] == 1
+        # Interval relations: the interval tree is not safe beside a
+        # writer, so a pinned read scans the tt prefix instead.
+        schema = TemporalSchema(name="i", valid_time_kind=ValidTimeKind.INTERVAL)
+        intervals = TemporalRelation(
+            schema,
+            clock=SimulatedWallClock(start=0),
+            keep_backlog=False,
+            engine=MemoryEngine(),
+        )
+        intervals.append_many(
+            [("o", Interval(Timestamp(10 * i), Timestamp(10 * i + 20)), {}) for i in range(10)]
+        )
+        list(intervals.engine.valid_at(Timestamp(50), as_of_tt=Timestamp(5)))
+        counters = registry.snapshot()["counters"]
+        assert counters["storage.memory.vt_index_misses"] == 2
+        assert counters.get("storage.memory.vt_index_hits", 0) == 0
 
 
 class TestSQLiteEngine:

@@ -132,11 +132,21 @@ class TestOtherShapes:
         assert_report_shape(report, "rollback-prefix")
 
     def test_bitemporal_prefix(self):
-        relation = build_events([], [0] * 10)
+        # Without a valid-time index the tt prefix is the access path.
+        relation, _clock = build_segmented([], [0] * 10, vt_index=False)
         report = relation.explain(
             BitemporalSlice(Scan(relation), vt=Timestamp(50), tt=Timestamp(50))
         )
         assert_report_shape(report, "bitemporal-prefix")
+
+    def test_pinned_vt_index(self):
+        relation, _clock = build_segmented([], [0] * 10)
+        report = relation.explain(
+            BitemporalSlice(Scan(relation), vt=Timestamp(50), tt=Timestamp(50))
+        )
+        assert_report_shape(report, "pinned-vt-index")
+        assert [e.vt for e in report.results] == [Timestamp(50)]
+        assert report.examined == 1
 
     def test_current_state(self):
         relation = build_events([], [0] * 10)
@@ -215,7 +225,7 @@ class TestSegmentPruning:
         assert "segments  : 6 scanned, 2 pruned by zone maps" in report.render()
 
     def test_bitemporal_prefix_prunes_on_valid_time(self):
-        relation, _clock = build_segmented([], [0] * 64)
+        relation, _clock = build_segmented([], [0] * 64, vt_index=False)
         report = relation.explain(
             BitemporalSlice(Scan(relation), vt=Timestamp(0), tt=Timestamp(10_000))
         )
