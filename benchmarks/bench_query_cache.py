@@ -6,7 +6,7 @@ lookup, not a scan.  Three surfaces are measured:
 
 * ``tql`` -- the same TQL statement executed repeatedly through
   ``tql.execute`` (parse + plan + result caches all engaged) vs the
-  same loop under ``REPRO_RESULT_CACHE=0``;
+  same loop under ``config.override(result_cache=0)``;
 * ``timeslice`` -- a repeated ``ValidTimeslice`` through the planner
   (plan + result caches) vs uncached;
 * ``server`` -- hot repeated GETs against a live
@@ -40,6 +40,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 #: BENCH_*.json destination when --emit-json names no directory.
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+from repro import config as repro_config
 from repro.chronos.clock import LogicalClock
 from repro.chronos.timestamp import Timestamp
 from repro.query import Planner, Scan, ValidTimeslice
@@ -92,19 +93,19 @@ def library_phase(count: int) -> Dict[str, Any]:
     statement = f"SELECT * FROM cachebench VALID AT {probe.microseconds // 1_000_000}"
     query = ValidTimeslice(Scan(relation), probe)
 
-    os.environ["REPRO_RESULT_CACHE"] = "0"
-    tql_off_s, tql_off_rows = timed_loop(lambda: tql.execute(statement, relation))
-    slice_off_s, slice_off_rows = timed_loop(
-        lambda: Planner(relation).plan(query).execute()
-    )
+    with repro_config.override(result_cache=0):
+        tql_off_s, tql_off_rows = timed_loop(lambda: tql.execute(statement, relation))
+        slice_off_s, slice_off_rows = timed_loop(
+            lambda: Planner(relation).plan(query).execute()
+        )
 
-    os.environ["REPRO_RESULT_CACHE"] = "256"
-    tql.execute(statement, relation)  # prime: the one honest miss
-    Planner(relation).plan(query).execute()
-    tql_on_s, tql_on_rows = timed_loop(lambda: tql.execute(statement, relation))
-    slice_on_s, slice_on_rows = timed_loop(
-        lambda: Planner(relation).plan(query).execute()
-    )
+    with repro_config.override(result_cache=256):
+        tql.execute(statement, relation)  # prime: the one honest miss
+        Planner(relation).plan(query).execute()
+        tql_on_s, tql_on_rows = timed_loop(lambda: tql.execute(statement, relation))
+        slice_on_s, slice_on_rows = timed_loop(
+            lambda: Planner(relation).plan(query).execute()
+        )
 
     identical = tql_off_rows == tql_on_rows and slice_off_rows == slice_on_rows
     return {
@@ -147,9 +148,9 @@ async def _server_reads(count: int, cache_entries: int) -> Tuple[List[float], by
 
 
 def server_phase(count: int) -> Dict[str, Any]:
-    os.environ["REPRO_RESULT_CACHE"] = "256"  # keep the kill-switch open
-    off_lat, off_body = asyncio.run(_server_reads(count, cache_entries=0))
-    on_lat, on_body = asyncio.run(_server_reads(count, cache_entries=256))
+    with repro_config.override(result_cache=256):  # keep the kill-switch open
+        off_lat, off_body = asyncio.run(_server_reads(count, cache_entries=0))
+        on_lat, on_body = asyncio.run(_server_reads(count, cache_entries=256))
     off_lat.sort()
     on_lat.sort()
 

@@ -38,12 +38,21 @@ class EnforcementMode(enum.Enum):
     RECORD = "record"
 
 
+#: Violations a :class:`ConstraintViolation` message spells out (it is a
+#: client-visible error body, so it must not grow with the batch).
+MESSAGE_VIOLATIONS = 20
+
+
 class ConstraintViolation(Exception):
-    """Raised in REJECT mode; carries the underlying violations."""
+    """Raised in REJECT mode; ``.violations`` carries every underlying
+    violation, the message the first :data:`MESSAGE_VIOLATIONS`."""
 
     def __init__(self, violations: Sequence[Violation]) -> None:
         self.violations = list(violations)
-        details = "; ".join(str(v) for v in self.violations)
+        details = "; ".join(str(v) for v in self.violations[:MESSAGE_VIOLATIONS])
+        hidden = len(self.violations) - MESSAGE_VIOLATIONS
+        if hidden > 0:
+            details += f"; … and {hidden} more ({len(self.violations)} total)"
         super().__init__(f"temporal specialization violated: {details}")
 
 

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
+import random
 import threading
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
+from repro import config as _config
 from repro.chronos.clock import PerfCounterTimer, TimerSource
 
 __all__ = [
@@ -46,7 +47,7 @@ __all__ = [
 ]
 
 #: Histograms keep at most this many raw observations for percentile
-#: math; count/sum/min/max stay exact beyond it.
+#: math (a uniform reservoir past it); count/sum/min/max stay exact.
 _HISTOGRAM_SAMPLE_LIMIT = 10_000
 
 
@@ -103,11 +104,13 @@ class Gauge:
 class Histogram:
     """Observations with exact count/sum/min/max and sampled percentiles.
 
-    Percentiles use the nearest-rank method over the retained sample
-    (all observations up to :data:`_HISTOGRAM_SAMPLE_LIMIT`).
+    Percentiles use the nearest-rank method over the retained sample:
+    every observation up to :data:`_HISTOGRAM_SAMPLE_LIMIT` (exact), then
+    a uniform reservoir of that size over all of them (Algorithm R,
+    seeded, so a replayed run reports the same percentiles).
     """
 
-    __slots__ = ("name", "_count", "_sum", "_min", "_max", "_sample", "_lock")
+    __slots__ = ("name", "_count", "_sum", "_min", "_max", "_sample", "_rng", "_lock")
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -116,6 +119,7 @@ class Histogram:
         self._min = math.inf
         self._max = -math.inf
         self._sample: List[float] = []
+        self._rng: Optional[random.Random] = None
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
@@ -129,6 +133,12 @@ class Histogram:
                 self._max = value
             if len(self._sample) < _HISTOGRAM_SAMPLE_LIMIT:
                 self._sample.append(value)
+                return
+            if self._rng is None:
+                self._rng = random.Random(0)
+            slot = self._rng.randrange(self._count)
+            if slot < _HISTOGRAM_SAMPLE_LIMIT:
+                self._sample[slot] = value
 
     @property
     def count(self) -> int:
@@ -273,7 +283,7 @@ class MetricsRegistry:
 # -- the process-global registry ----------------------------------------------------
 
 _REGISTRY = MetricsRegistry()
-_ENABLED = os.environ.get("REPRO_METRICS", "").strip() not in ("", "0", "false")
+_ENABLED = _config.current().metrics
 
 
 def registry() -> MetricsRegistry:

@@ -20,16 +20,11 @@ straight into the engine) advances the epoch, so stale keys simply stop
 matching and age out of the LRU.  That is the whole invalidation contract; see
 ``docs/caching.md``.
 
-Knobs (read at call time, so tests can flip them):
-
-* ``REPRO_RESULT_CACHE`` -- ``0`` disables **every** layer, restoring
-  the uncached code path byte-for-byte; a positive integer enables the
-  result cache with that entry budget; unset leaves the parse and plan
-  caches on but the result cache off (results are the one layer that
-  can hold large payloads, so it is opt-in for embedded use -- the
-  server enables its response-byte variant by default).
-* ``REPRO_RESULT_CACHE_BYTES`` -- result-cache byte budget (default
-  64 MiB).
+``REPRO_RESULT_CACHE`` (``repro.config`` ``result_cache``, checked per
+call) selects the layers: ``0`` disables **every** one, restoring the
+uncached code path byte-for-byte; N > 0 adds the result cache with N
+entries; unset leaves it off (results are the one layer that can hold
+large payloads, so it is opt-in for embedded use).
 
 The server keeps a fourth layer with the same ``LRUCache`` machinery:
 canonical JSON response bytes keyed on (endpoint, normalized params,
@@ -38,20 +33,17 @@ pinned epoch); see :mod:`repro.server.app`.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro import config as _config
 from repro.chronos.timestamp import Timestamp
 from repro.observability import metrics as _metrics
 
 __all__ = [
     "LRUCache",
     "RelationQueryCache",
-    "caching_enabled",
-    "result_cache_entries",
-    "result_cache_bytes",
     "relation_cache",
     "fingerprint",
     "epoch_key",
@@ -64,8 +56,7 @@ __all__ = [
 PARSE_CACHE_ENTRIES = 512
 #: Per-relation plan-cache entry budget (plans are tiny: closures only).
 PLAN_CACHE_ENTRIES = 128
-#: Result-cache defaults when ``REPRO_RESULT_CACHE`` names no budget.
-DEFAULT_RESULT_ENTRIES = 256
+#: Result-cache byte budget.
 DEFAULT_RESULT_BYTES = 64 * 1024 * 1024
 
 #: Coarse per-element footprint estimate for result-cache accounting.
@@ -75,37 +66,6 @@ DEFAULT_RESULT_BYTES = 64 * 1024 * 1024
 #: eviction-under-byte-pressure tests rely on.
 ELEMENT_FOOTPRINT = 256
 RESULT_OVERHEAD = 64
-
-def caching_enabled() -> bool:
-    """Whether any cache layer may be consulted (the global kill-switch:
-    ``REPRO_RESULT_CACHE=0`` restores the uncached path everywhere)."""
-    return os.environ.get("REPRO_RESULT_CACHE") != "0"
-
-
-def result_cache_entries() -> Optional[int]:
-    """The result-cache entry budget, or ``None`` when the layer is off.
-
-    The result layer is opt-in: it holds materialized answers, so it
-    only runs when ``REPRO_RESULT_CACHE`` names a positive budget.
-    """
-    raw = os.environ.get("REPRO_RESULT_CACHE")
-    if raw is None or raw == "" or raw == "0":
-        return None
-    try:
-        entries = int(raw)
-    except ValueError:
-        return DEFAULT_RESULT_ENTRIES
-    return entries if entries > 0 else None
-
-
-def result_cache_bytes() -> int:
-    raw = os.environ.get("REPRO_RESULT_CACHE_BYTES")
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_RESULT_BYTES
 
 
 class LRUCache:
@@ -201,7 +161,7 @@ def cached_parse(text: str, parse_fn: Callable[[str], Any]) -> Any:
     the library mutates a :class:`~repro.query.tql.ParsedQuery` once
     built), so hits share the instance.
     """
-    if not caching_enabled():
+    if _config.current().result_cache == 0:
         return parse_fn(text)
     parsed = parse_cache.get(text)
     if parsed is not None:
@@ -279,9 +239,9 @@ def epoch_key(relation: Any) -> Tuple[Any, ...]:
     ``relation.version`` advances once per relation-level mutation (and
     on vacuum's engine swap); ``(id(engine), mutation_count())``
     catches everything that bypasses the relation -- the same
-    discipline ``relation_statistics()`` uses.  ``REPRO_TIERED`` and
-    ``REPRO_SEGMENT_SIZE`` need no component of their own: they are read
-    only when a store is built, and rebuilding a live engine's store
+    discipline ``relation_statistics()`` uses.  The ``tiered`` and
+    ``segment_size`` settings need no component of their own: they are
+    read only when a store is built, and rebuilding a live engine's store
     (vacuum, compaction, rebalance) already moves one of these.
     """
     engine = relation.engine
@@ -301,8 +261,8 @@ class RelationQueryCache:
 
     Attached lazily to the relation (``relation.query_cache``); holds
     no back-reference, so callers pass epochs in.  The result layer is
-    resolved per access against the environment, so flipping
-    ``REPRO_RESULT_CACHE`` mid-process takes effect on the next query.
+    resolved per access against :func:`repro.config.current`, so a
+    ``config.override(result_cache=...)`` takes effect on the next query.
     """
 
     def __init__(self) -> None:
@@ -310,13 +270,11 @@ class RelationQueryCache:
         self._results: Optional[LRUCache] = None
 
     def results(self) -> Optional[LRUCache]:
-        entries = result_cache_entries()
-        if entries is None:
+        entries = _config.current().result_cache
+        if not entries:
             return None
         if self._results is None:
-            self._results = LRUCache(
-                entries, max_bytes=result_cache_bytes(), layer="result"
-            )
+            self._results = LRUCache(entries, max_bytes=DEFAULT_RESULT_BYTES, layer="result")
         return self._results
 
     # -- plan layer -----------------------------------------------------------------
@@ -380,7 +338,7 @@ def relation_cache(relation: Any) -> Optional[RelationQueryCache]:
     entire disabled code path: callers fall straight through to today's
     uncached behavior.
     """
-    if not caching_enabled():
+    if _config.current().result_cache == 0:
         return None
     cache = getattr(relation, "_query_cache", None)
     if cache is None:

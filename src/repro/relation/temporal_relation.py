@@ -26,7 +26,6 @@ Reading:
 from __future__ import annotations
 
 import gc
-import os
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -46,6 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.storage.epoch import EpochPin
     from repro.views.standing import ViewRegistry
 
+from repro import config as _config
 from repro.chronos.clock import LogicalClock, TimerSource, TransactionClock
 from repro.chronos.interval import Interval
 from repro.chronos.timestamp import TimePoint, Timestamp
@@ -77,12 +77,11 @@ def _default_engine() -> StorageEngine:
     sharded -- the CI leg that runs the whole suite against a sharded
     topology -- otherwise a plain :class:`MemoryEngine`.
     """
-    if os.environ.get("REPRO_SHARDS"):
-        from repro.storage.sharded import ShardedEngine, configured_shard_count
+    count = _config.current().shards
+    if count:
+        from repro.storage.sharded import ShardedEngine
 
-        count = configured_shard_count()
-        if count >= 2:
-            return ShardedEngine(shard_count=count)
+        return ShardedEngine(shard_count=count)
     return MemoryEngine()
 
 
@@ -120,7 +119,7 @@ class TemporalRelation:
         # view, so the whole suite exercises delta emission and the
         # view-invalidation seams (the CI fast-matrix leg). Namespaced
         # so it never collides with a caller's own registrations.
-        if os.environ.get("REPRO_VIEWS"):
+        if _config.current().views:
             self.views.register_current(name="__env_current__")
 
     def _adopt_existing(self) -> None:

@@ -41,6 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
+from repro import config as _config
 from repro.chronos.interval import Interval
 from repro.chronos.timestamp import Timestamp
 from repro.core.constraints import ConstraintViolation
@@ -143,7 +144,7 @@ class TemporalServer:
         #: (relation, endpoint, params, pin).  Entries for superseded
         #: pins simply stop being asked for; LRU evicts them.
         self._response_cache: Optional[_qcache.LRUCache] = None
-        if self.config.cache_entries > 0 and _qcache.caching_enabled():
+        if self.config.cache_entries > 0 and _config.current().result_cache != 0:
             self._response_cache = _qcache.LRUCache(
                 self.config.cache_entries,
                 max_bytes=self.config.cache_bytes,

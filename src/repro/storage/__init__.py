@@ -39,12 +39,7 @@ from repro.storage.interval_tree import IntervalTree
 from repro.storage.logfile import LogFileEngine
 from repro.storage.memory import MemoryEngine
 from repro.storage.segments import Segment, SegmentedStore, ZoneMap
-from repro.storage.sharded import (
-    HashPartitioner,
-    RangePartitioner,
-    ShardedEngine,
-    configured_shard_count,
-)
+from repro.storage.sharded import HashPartitioner, RangePartitioner, ShardedEngine
 from repro.storage.snapshot import SnapshotCache
 from repro.storage.sqlite_backend import SQLiteEngine
 from repro.storage.wal import RecoveryReport, recover_file
@@ -68,7 +63,6 @@ __all__ = [
     "HashPartitioner",
     "RangePartitioner",
     "ShardedEngine",
-    "configured_shard_count",
     "SnapshotCache",
     "SQLiteEngine",
 ]

@@ -2,7 +2,7 @@
 
 The append-ordered run every engine keeps is here organised into
 *segments*: elements accumulate in a mutable **head** segment which
-seals into immutable segments of :data:`DEFAULT_SEGMENT_SIZE` elements.
+seals into immutable segments of ``repro.config`` ``segment_size`` elements.
 Each sealed segment carries a :class:`ZoneMap` -- its transaction-time
 range, its valid-time coverage, its live-element count, and whether its
 event valid times are sorted -- so a query can decide *per segment*
@@ -27,26 +27,20 @@ Two further facilities live here because every consumer shares them:
 from __future__ import annotations
 
 import bisect
-import os
 from typing import Dict, Iterator, List, Optional, Sequence
 
+from repro import config as _config
 from repro.chronos.interval import Interval
 from repro.chronos.timestamp import Timestamp
 from repro.relation.element import Element
 from repro.storage.columnar import StampColumns
 from repro.storage.segfile import SegmentFileError
-from repro.storage.tiered import TierManager, tiered_enabled
+from repro.storage.tiered import TierManager
 
 #: Sentinel microsecond coordinates for unbounded endpoints (the same
 #: convention the SQLite and log-file codecs use).
 POS_SENTINEL = 2**62
 NEG_SENTINEL = -(2**62)
-
-#: Elements per sealed segment unless overridden (constructor argument
-#: or the ``REPRO_SEGMENT_SIZE`` environment variable).
-DEFAULT_SEGMENT_SIZE = 4096
-
-_SEGMENT_SIZE_ENV = "REPRO_SEGMENT_SIZE"
 
 
 def _encode_stop(point: object) -> int:
@@ -54,19 +48,6 @@ def _encode_stop(point: object) -> int:
     if isinstance(point, Timestamp):
         return point.microseconds
     return POS_SENTINEL if point.is_positive else NEG_SENTINEL  # type: ignore[attr-defined]
-
-
-def configured_segment_size() -> int:
-    """The default segment size, honouring ``REPRO_SEGMENT_SIZE``."""
-    raw = os.environ.get(_SEGMENT_SIZE_ENV)
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            return DEFAULT_SEGMENT_SIZE
-        if value >= 2:
-            return value
-    return DEFAULT_SEGMENT_SIZE
 
 
 class ZoneMap:
@@ -186,7 +167,7 @@ class SegmentedStore:
         tier_dir: Optional[str] = None,
         tier_manager: Optional[TierManager] = None,
     ) -> None:
-        self.segment_size = segment_size if segment_size else configured_segment_size()
+        self.segment_size = segment_size if segment_size else _config.current().segment_size
         if self.segment_size < 2:
             raise ValueError("segment size must be at least 2")
         self._tts: List[int] = []
@@ -198,7 +179,7 @@ class SegmentedStore:
         #: ``REPRO_TIERED=0`` forces flat, ``=1`` forces tiered (into a
         #: private temp directory unless a tier_dir/manager was given),
         #: unset defers to the constructor arguments.
-        forced = tiered_enabled()
+        forced = _config.current().tiered
         self.tiering: Optional[TierManager] = None
         if forced is not False:
             if tier_manager is not None:

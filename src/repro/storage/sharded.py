@@ -69,25 +69,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.relation.schema import TemporalSchema
     from repro.relation.temporal_relation import TemporalRelation
 
-_SHARDS_ENV = "REPRO_SHARDS"
-
 #: The per-directory rebalance manifest (a v1 framed WAL).
 MANIFEST_NAME = "shards.manifest"
 
 #: Fixed hash-space size; buckets are the unit a rebalance moves.
 DEFAULT_HASH_BUCKETS = 64
-
-
-def configured_shard_count() -> int:
-    """The ``REPRO_SHARDS`` default shard count (0 = sharding off)."""
-    raw = os.environ.get(_SHARDS_ENV)
-    if not raw:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        return 0
-    return value if value >= 2 else 0
 
 
 def shard_file_name(index: int) -> str:

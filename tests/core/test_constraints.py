@@ -6,8 +6,13 @@ import pytest
 
 from repro.chronos.duration import Duration
 from repro.chronos.timestamp import Timestamp
-from repro.core.constraints import ConstraintSet, ConstraintViolation, EnforcementMode
-from repro.core.taxonomy.base import Stamped
+from repro.core.constraints import (
+    MESSAGE_VIOLATIONS,
+    ConstraintSet,
+    ConstraintViolation,
+    EnforcementMode,
+)
+from repro.core.taxonomy.base import Stamped, Violation
 from repro.core.taxonomy.event_inter import GloballyNonDecreasing
 from repro.core.taxonomy.event_isolated import DelayedRetroactive, Retroactive
 
@@ -27,6 +32,21 @@ class TestRejectMode:
             constraints.observe(element(10, 20))
         assert "retroactive" in str(excinfo.value)
         assert len(excinfo.value.violations) == 1
+
+    def test_message_lists_a_bounded_prefix_of_many_violations(self):
+        violations = [
+            Violation(Retroactive(), element(10, 20 + i), f"vt={20 + i} violates retroactive")
+            for i in range(1_000)
+        ]
+        error = ConstraintViolation(violations)
+        message = str(error)
+        assert message.count("violates retroactive") == MESSAGE_VIOLATIONS
+        assert message.endswith("… and 980 more (1000 total)")
+        assert len(message) < 4_000
+        assert error.violations == violations
+        few = str(ConstraintViolation(violations[:MESSAGE_VIOLATIONS]))
+        assert few.count("violates retroactive") == MESSAGE_VIOLATIONS
+        assert "more" not in few
 
     def test_multiple_constraints_all_checked(self):
         constraints = ConstraintSet([Retroactive(), GloballyNonDecreasing()])

@@ -103,6 +103,17 @@ class TestHistogram:
         assert histogram.count == 10_500
         assert histogram.to_dict()["max"] == 10_499
 
+    def test_percentiles_follow_observations_past_sample_limit(self):
+        histogram = Histogram("h")
+        for _ in range(10_000):
+            histogram.observe(0.001)
+        for _ in range(90_000):
+            histogram.observe(1.0)
+        summary = histogram.to_dict()
+        assert summary["p50"] == summary["p99"] == 1.0
+        assert histogram.percentile(50) == 1.0
+        assert len(histogram._sample) == 10_000
+
     def test_concurrent_observations(self):
         histogram = Histogram("h")
 

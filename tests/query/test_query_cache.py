@@ -3,7 +3,7 @@
 Two halves:
 
 * unit coverage of the machinery -- LRU entry/byte budgets and
-  eviction, parse-cache memoization and its ``REPRO_RESULT_CACHE=0``
+  eviction, parse-cache memoization and its ``result_cache=0``
   bypass, plan-cache reuse and epoch rollover, result-cache hits that
   stay frozen, ``mutation_count()`` monotonicity on every engine;
 * a Hypothesis differential: a randomized mutation/maintenance/query
@@ -11,19 +11,18 @@ Two halves:
   topologies, and at every query point the cache-enabled answer (tiny
   budgets, constant eviction pressure) must be byte-identical -- via
   the server's canonical codec -- to the same query under
-  ``REPRO_RESULT_CACHE=0``.  Vacuum engine swaps, segment compaction,
-  shard rebalancing, and out-of-band ``extend()`` straight into the
-  engine all interleave: every one must roll the epoch.
+  ``config.override(result_cache=0)``.  Vacuum engine swaps, segment
+  compaction, shard rebalancing, and out-of-band ``extend()`` straight
+  into the engine all interleave: every one must roll the epoch.
 """
 
 import json
-import os
 import tempfile
-from contextlib import contextmanager
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import config
 from repro.chronos.clock import LogicalClock, SimulatedWallClock
 from repro.chronos.interval import Interval
 from repro.chronos.timestamp import Timestamp
@@ -43,23 +42,6 @@ from repro.storage.vacuum import vacuum_relation
 from tests.strategies import OBJECTS, SMALL_TICKS
 
 CLOCK_START = 1_000
-
-
-@contextmanager
-def cache_env(value):
-    """Temporarily pin REPRO_RESULT_CACHE (a budget, '0', or None)."""
-    old = os.environ.get("REPRO_RESULT_CACHE")
-    if value is None:
-        os.environ.pop("REPRO_RESULT_CACHE", None)
-    else:
-        os.environ["REPRO_RESULT_CACHE"] = value
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_RESULT_CACHE", None)
-        else:
-            os.environ["REPRO_RESULT_CACHE"] = old
 
 
 def make_relation(engine=None, specializations=()):
@@ -132,14 +114,14 @@ class TestLRUCache:
 
 class TestParseCache:
     def test_repeated_statements_share_the_instance(self):
-        with cache_env("4"):
+        with config.override(result_cache=4):
             qcache.parse_cache.clear()
             first = tql.parse("SELECT * FROM cached VALID AT 10")
             second = tql.parse("SELECT * FROM cached VALID AT 10")
             assert first is second
 
     def test_kill_switch_bypasses_memoization(self):
-        with cache_env("0"):
+        with config.override(result_cache=0):
             qcache.parse_cache.clear()
             first = tql.parse("SELECT * FROM cached VALID AT 11")
             second = tql.parse("SELECT * FROM cached VALID AT 11")
@@ -147,7 +129,7 @@ class TestParseCache:
             assert len(qcache.parse_cache) == 0
 
     def test_parse_errors_are_not_cached(self):
-        with cache_env("4"):
+        with config.override(result_cache=4):
             qcache.parse_cache.clear()
             for _ in range(2):
                 try:
@@ -162,7 +144,7 @@ class TestParseCache:
 
 class TestPlanCache:
     def test_same_epoch_reuses_the_plan_object(self):
-        with cache_env("4"):
+        with config.override(result_cache=4):
             relation = fill(make_relation())
             query = ValidTimeslice(Scan(relation), Timestamp(10))
             first = Planner(relation).plan(query)
@@ -170,7 +152,7 @@ class TestPlanCache:
             assert first is second
 
     def test_mutation_rolls_the_epoch_and_replans(self):
-        with cache_env("4"):
+        with config.override(result_cache=4):
             relation = fill(make_relation())
             query = ValidTimeslice(Scan(relation), Timestamp(10))
             first = Planner(relation).plan(query)
@@ -179,14 +161,14 @@ class TestPlanCache:
             assert first is not second
 
     def test_kill_switch_never_caches_plans(self):
-        with cache_env("0"):
+        with config.override(result_cache=0):
             relation = fill(make_relation())
             assert relation.query_cache is None
             query = ValidTimeslice(Scan(relation), Timestamp(10))
             assert Planner(relation).plan(query) is not Planner(relation).plan(query)
 
     def test_foreign_relation_scan_is_uncacheable(self):
-        with cache_env("4"):
+        with config.override(result_cache=4):
             relation = fill(make_relation())
             other = fill(make_relation())
             query = ValidTimeslice(Scan(other), Timestamp(10))
@@ -195,7 +177,7 @@ class TestPlanCache:
 
 class TestResultCache:
     def test_hit_returns_equal_results_and_marks_the_plan(self):
-        with cache_env("4"):
+        with config.override(result_cache=4):
             relation = fill(make_relation())
             query = ValidTimeslice(Scan(relation), Timestamp(10))
             first = Planner(relation).plan(query).execute()
@@ -205,7 +187,7 @@ class TestResultCache:
             assert plan.result_cache_epoch is not None
 
     def test_hits_hand_back_a_fresh_list(self):
-        with cache_env("4"):
+        with config.override(result_cache=4):
             relation = fill(make_relation())
             query = ValidTimeslice(Scan(relation), Timestamp(10))
             first = Planner(relation).plan(query).execute()
@@ -215,7 +197,7 @@ class TestResultCache:
             assert second  # ...must not mangle the cached answer
 
     def test_epoch_rollover_recomputes(self):
-        with cache_env("4"):
+        with config.override(result_cache=4):
             relation = fill(make_relation())
             query = ValidTimeslice(Scan(relation), Timestamp(10))
             before = Planner(relation).plan(query).execute()
@@ -227,7 +209,7 @@ class TestResultCache:
             assert len(after) == len(before) + 1
 
     def test_result_layer_off_by_default_but_plan_layer_on(self):
-        with cache_env(None):
+        with config.override(result_cache=None):
             relation = fill(make_relation())
             cache = relation.query_cache
             assert cache is not None
@@ -236,7 +218,7 @@ class TestResultCache:
             assert Planner(relation).plan(query) is Planner(relation).plan(query)
 
     def test_statistics_reports_layers(self):
-        with cache_env("4"):
+        with config.override(result_cache=4):
             relation = fill(make_relation())
             query = ValidTimeslice(Scan(relation), Timestamp(10))
             Planner(relation).plan(query).execute()
@@ -247,7 +229,7 @@ class TestResultCache:
             assert stats["result_bytes"] > 0
 
     def test_explain_names_the_cache_hit_before_chosen(self):
-        with cache_env("4"):
+        with config.override(result_cache=4):
             relation = fill(make_relation())
             statement = "SELECT * FROM cached VALID AT 10"
             relation.explain(statement)
@@ -430,9 +412,9 @@ def run_cache_differential(relation, ops):
         elif kind == "extend":
             _out_of_band_extend(relation, op[1])
         elif kind == "query":
-            with cache_env("4"):
+            with config.override(result_cache=4):
                 cached = _run_query(relation, op[1], op[2])
-            with cache_env("0"):
+            with config.override(result_cache=0):
                 uncached = _run_query(relation, op[1], op[2])
             assert cached == uncached, (
                 f"cache served a divergent {op[1]} answer:\n"
@@ -441,9 +423,9 @@ def run_cache_differential(relation, ops):
             )
         else:  # pragma: no cover - strategy and runner must stay in sync
             raise AssertionError(f"unknown workload op {op!r}")
-    with cache_env("4"):
+    with config.override(result_cache=4):
         final_cached = _run_query(relation, "current", 0)
-    with cache_env("0"):
+    with config.override(result_cache=0):
         assert final_cached == _run_query(relation, "current", 0)
 
 

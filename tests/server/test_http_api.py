@@ -89,6 +89,25 @@ def test_append_bulk_delete_roundtrip() -> None:
     asyncio.run(scenario())
 
 
+def test_constraint_violation_body_stays_bounded() -> None:
+    async def scenario() -> None:
+        async with running_server() as server:
+            async with connected_client(server) as client:
+                await client.create_relation(
+                    {"name": "r", "time_varying": ["v"], "specializations": ["retroactive"]}
+                )
+                rejected = await client.bulk(
+                    "r", [[f"o{i}", 10**15 + i, None] for i in range(1_000)]
+                )
+                assert rejected.status == 409
+                message = rejected.json()["error"]
+                assert message.endswith("… and 980 more (1000 total)")
+                assert len(rejected.body) < 8_000
+                assert (await client.current("r")).json()["count"] == 0
+
+    asyncio.run(scenario())
+
+
 def test_pinned_reads_timeslice_overlap_rollback() -> None:
     async def scenario() -> None:
         async with running_server() as server:

@@ -4,35 +4,18 @@ Pinned reads over an unchanged relation must answer from the cache
 (``X-Repro-Cache: hit``) with a byte-identical body; any write rolls
 the pin and forces a recompute.  The cache is on by default, sized by
 ``ServerConfig.cache_entries``, and killed entirely by
-``cache_entries=0`` or ``REPRO_RESULT_CACHE=0``.
+``cache_entries=0`` or ``result_cache=0`` (``REPRO_RESULT_CACHE=0``).
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
-from contextlib import contextmanager
 
+from repro import config
 from repro.server import ServerConfig
 from tests.server.harness import connected_client, running_server
 
 MICRO = 1_000_000  # one second-granularity tick on the wire
-
-
-@contextmanager
-def cache_env(value):
-    old = os.environ.get("REPRO_RESULT_CACHE")
-    if value is None:
-        os.environ.pop("REPRO_RESULT_CACHE", None)
-    else:
-        os.environ["REPRO_RESULT_CACHE"] = value
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_RESULT_CACHE", None)
-        else:
-            os.environ["REPRO_RESULT_CACHE"] = old
 
 
 async def _seeded(client, name="readings", rows=4):
@@ -55,7 +38,7 @@ def test_miss_then_hit_with_identical_body() -> None:
                 assert second.cache_status == "hit"
                 assert second.body == first.body
 
-    with cache_env(None):
+    with config.override(result_cache=None):
         asyncio.run(scenario())
 
 
@@ -87,7 +70,7 @@ def test_every_pinned_get_endpoint_caches() -> None:
                     assert second.cache_status == "hit"
                     assert second.body == first.body
 
-    with cache_env(None):
+    with config.override(result_cache=None):
         asyncio.run(scenario())
 
 
@@ -101,7 +84,7 @@ def test_distinct_parameters_never_share_entries() -> None:
                 assert at_three.cache_status == "miss"
                 assert at_three.body != at_two.body
 
-    with cache_env(None):
+    with config.override(result_cache=None):
         asyncio.run(scenario())
 
 
@@ -119,7 +102,7 @@ def test_write_rolls_the_pin_and_recomputes() -> None:
                 assert after.json()["count"] == before.json()["count"] + 1
                 assert (await client.timeslice("readings", vt=2 * MICRO)).cache_status == "hit"
 
-    with cache_env(None):
+    with config.override(result_cache=None):
         asyncio.run(scenario())
 
 
@@ -141,14 +124,14 @@ def test_query_endpoint_caches_per_statement() -> None:
                 assert third.cache_status == "miss"
                 assert third.json()["count"] == first.json()["count"] + 1
 
-    with cache_env(None):
+    with config.override(result_cache=None):
         asyncio.run(scenario())
 
 
 def test_tiny_cache_evicts_but_stays_correct() -> None:
     async def scenario() -> None:
-        config = ServerConfig(port=0, cache_entries=2)
-        async with running_server(config) as server:
+        server_config = ServerConfig(port=0, cache_entries=2)
+        async with running_server(server_config) as server:
             async with connected_client(server) as client:
                 await _seeded(client)
                 bodies = {}
@@ -164,14 +147,14 @@ def test_tiny_cache_evicts_but_stays_correct() -> None:
                 hot = await client.timeslice("readings", vt=1 * MICRO)
                 assert hot.cache_status == "hit"
 
-    with cache_env(None):
+    with config.override(result_cache=None):
         asyncio.run(scenario())
 
 
 def test_cache_entries_zero_disables_the_header() -> None:
     async def scenario() -> None:
-        config = ServerConfig(port=0, cache_entries=0)
-        async with running_server(config) as server:
+        server_config = ServerConfig(port=0, cache_entries=0)
+        async with running_server(server_config) as server:
             async with connected_client(server) as client:
                 await _seeded(client)
                 for _ in range(2):
@@ -179,7 +162,7 @@ def test_cache_entries_zero_disables_the_header() -> None:
                     assert response.status == 200
                     assert response.cache_status is None
 
-    with cache_env(None):
+    with config.override(result_cache=None):
         asyncio.run(scenario())
 
 
@@ -192,7 +175,7 @@ def test_env_kill_switch_disables_the_server_cache() -> None:
                     response = await client.timeslice("readings", vt=2 * MICRO)
                     assert response.cache_status is None
 
-    with cache_env("0"):
+    with config.override(result_cache=0):
         asyncio.run(scenario())
 
 
@@ -208,5 +191,5 @@ def test_error_responses_are_never_cached() -> None:
                     assert response.status == 400
                     assert response.cache_status != "hit"
 
-    with cache_env(None):
+    with config.override(result_cache=None):
         asyncio.run(scenario())

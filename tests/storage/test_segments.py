@@ -15,11 +15,7 @@ from repro.relation.schema import TemporalSchema
 from repro.relation.temporal_relation import TemporalRelation
 from repro.storage.base import StorageEngine
 from repro.storage.memory import MemoryEngine
-from repro.storage.segments import (
-    DEFAULT_SEGMENT_SIZE,
-    SegmentedStore,
-    configured_segment_size,
-)
+from repro.storage.segments import SegmentedStore
 from repro.storage.vacuum import vacuum_relation
 from tests.strategies import OBJECTS, SMALL_TICKS, insert_rows, json_safe_attributes
 
@@ -98,15 +94,6 @@ class TestSealing:
             store.append(stale)
         with pytest.raises(ValueError, match="strictly increasing"):
             store.extend([stale])
-
-    def test_env_segment_size(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEGMENT_SIZE", "64")
-        assert configured_segment_size() == 64
-        assert SegmentedStore().segment_size == 64
-        monkeypatch.setenv("REPRO_SEGMENT_SIZE", "bogus")
-        assert configured_segment_size() == DEFAULT_SEGMENT_SIZE
-        monkeypatch.delenv("REPRO_SEGMENT_SIZE")
-        assert configured_segment_size() == DEFAULT_SEGMENT_SIZE
 
 
 class TestZoneMaintenance:
@@ -209,10 +196,10 @@ def segment_workloads(draw):
     return ops, probes
 
 
-def replay(ops, segment_size):
+def replay(ops, segment_size, tier_manager=None):
     schema = TemporalSchema(name="r", time_varying=("reading",))
     clock = SimulatedWallClock(start=0)
-    engine = MemoryEngine(segment_size=segment_size)
+    engine = MemoryEngine(segment_size=segment_size, tier_manager=tier_manager)
     relation = TemporalRelation(schema, clock=clock, keep_backlog=False, engine=engine)
     tick = 0
     for op in ops:

@@ -7,7 +7,7 @@ Four claims, four suites:
   identical to a single store; a range-partitioned point timeslice
   routes exactly one shard (``explain()`` and the
   ``storage.shards.*`` counters agree); specialized strategy names are
-  unchanged by sharding; ``REPRO_SHARDS`` reroutes the default engine;
+  unchanged by sharding; ``config.shards`` reroutes the default engine;
   vacuum preserves the topology; the server and CLI wire ``--shards``.
 * **Durable** -- a sharded directory reopens to the same contents (on
   the microsecond time-line; granularity reprs may differ) and a
@@ -29,6 +29,7 @@ import os
 import pytest
 from hypothesis import given, strategies as st
 
+from repro import config
 from repro.chronos.clock import LogicalClock, SimulatedWallClock
 from repro.chronos.interval import Interval
 from repro.chronos.timestamp import FOREVER, Timestamp
@@ -269,13 +270,13 @@ class TestStrategyPreservation:
 
 
 class TestTopologyPlumbing:
-    def test_repro_shards_env_reroutes_default_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "3")
-        relation = make_relation()
+    def test_shards_setting_reroutes_default_engine(self):
+        with config.override(shards=3):
+            relation = make_relation()
         assert getattr(relation.engine, "is_sharded", False)
         assert relation.engine.shard_count == 3
-        monkeypatch.delenv("REPRO_SHARDS")
-        assert not getattr(make_relation().engine, "is_sharded", False)
+        with config.override(shards=0):
+            assert not getattr(make_relation().engine, "is_sharded", False)
 
     def test_vacuum_preserves_sharded_topology(self):
         relation = make_relation(range_engine())
@@ -327,8 +328,7 @@ class TestTopologyPlumbing:
     def test_server_builds_sharded_engines(self, tmp_path):
         from repro.server import ServerConfig, TemporalServer
 
-        config = ServerConfig(shards=4, data_dir=str(tmp_path))
-        server = TemporalServer(config)
+        server = TemporalServer(ServerConfig(shards=4, data_dir=str(tmp_path)))
         memory = server._build_engine("memory", "m")
         assert getattr(memory, "is_sharded", False) and memory.shard_count == 4
         durable = server._build_engine("logfile", "d")

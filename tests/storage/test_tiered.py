@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import os
 import shutil
-from contextlib import contextmanager
 
 from hypothesis import given, settings
 
+from repro import config
 from repro.chronos.clock import SimulatedWallClock
 from repro.chronos.interval import Interval
 from repro.chronos.timestamp import FOREVER, Timestamp
@@ -35,31 +35,9 @@ from repro.storage.segfile import (
     write_segment_file,
 )
 from repro.storage.sharded import ShardedEngine
-from repro.storage.tiered import TierManager, _columns_from_elements, tiered_enabled
+from repro.storage.tiered import TierManager, _columns_from_elements
 from repro.storage.vacuum import vacuum_engine
 from tests.storage.test_segments import all_answers, replay, segment_workloads
-
-
-@contextmanager
-def tiered_env(value, cache=None, segment_size=None):
-    """Temporarily pin REPRO_TIERED (and optionally cache/segment size)."""
-    pins = {"REPRO_TIERED": value, "REPRO_TIER_CACHE": cache}
-    if segment_size is not None:
-        pins["REPRO_SEGMENT_SIZE"] = segment_size
-    saved = {name: os.environ.get(name) for name in pins}
-    for name, pinned in pins.items():
-        if pinned is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = pinned
-    try:
-        yield
-    finally:
-        for name, old in saved.items():
-            if old is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = old
 
 
 def ts(n, granularity="microsecond"):
@@ -180,14 +158,13 @@ class TestDamageDetection:
 @given(segment_workloads())
 def test_tiered_engines_match_flat_scan(workload):
     """Byte-identical answers: flat reference vs tiered with a tiny LRU
-    cache (evictions force reopen+decode) vs REPRO_TIERED=0 (forced off
-    even though a segment size is set)."""
+    cache (evictions force reopen+decode) vs ``tiered=False`` (forced
+    off even though a segment size is set)."""
     ops, probes = workload
-    with tiered_env("0"):
+    with config.override(tiered=False):
         reference = all_answers(replay(ops, 100_000), probes)
         flat_small = all_answers(replay(ops, 4), probes)
-    with tiered_env("1", cache="1"):
-        tiered = all_answers(replay(ops, 4), probes)
+    tiered = all_answers(replay(ops, 4, TierManager(cache_segments=1)), probes)
     assert flat_small == reference
     assert tiered == reference
 
@@ -198,12 +175,11 @@ def test_tiered_compact_preserves_answers(workload):
     """Explicit compaction (demote everything + fold patches) between
     the workload and the probes changes no answer."""
     ops, probes = workload
-    with tiered_env("0"):
+    with config.override(tiered=False):
         reference = all_answers(replay(ops, 100_000), probes)
-    with tiered_env("1", cache="2"):
-        relation = replay(ops, 4)
-        relation.engine.transaction_index.store.compact()
-        compacted = all_answers(relation, probes)
+    relation = replay(ops, 4, TierManager(cache_segments=2))
+    relation.engine.transaction_index.store.compact()
+    compacted = all_answers(relation, probes)
     assert compacted == reference
 
 
@@ -268,7 +244,7 @@ class TestVacuumTiering:
         assert [repr(e) for e in engine.scan()] == before
 
     def test_flat_store_carries_sorted_cache_prefix(self):
-        with tiered_env("0"):
+        with config.override(tiered=False):
             engine = MemoryEngine(segment_size=8)
             for i in range(48):
                 engine.append(make_element(i))
@@ -293,7 +269,7 @@ class TestCompactionCrashMatrix:
         on a consistent segment set with unchanged answers."""
         wal = str(tmp_path / "crash.log")
         tier = str(tmp_path / "tier")
-        with tiered_env(None, segment_size="4"):
+        with config.override(tiered=None, segment_size=4):
             engine = LogFileEngine(wal, fsync=False, tier_dir=tier)
             for i in range(12):
                 engine.append(make_element(i))
@@ -333,7 +309,7 @@ class TestCompactionCrashMatrix:
     def test_tmp_file_leftover_is_harmless(self, tmp_path):
         wal = str(tmp_path / "crash.log")
         tier = str(tmp_path / "tier")
-        with tiered_env(None, segment_size="4"):
+        with config.override(tiered=None, segment_size=4):
             engine = LogFileEngine(wal, fsync=False, tier_dir=tier)
             for i in range(8):
                 engine.append(make_element(i))
@@ -420,7 +396,7 @@ class TestIncrementalRebalance:
 class TestShardedTiering:
     def test_durable_shards_tier_next_to_their_wals(self, tmp_path):
         data = str(tmp_path)
-        with tiered_env(None, segment_size="8"):
+        with config.override(tiered=None, segment_size=8):
             engine = ShardedEngine(
                 shard_count=2, data_dir=data, fsync=False, tier_dir=data
             )
@@ -454,7 +430,7 @@ class TestShardedTiering:
 
     def test_rebalance_with_tiering_keeps_answers(self, tmp_path):
         data = str(tmp_path)
-        with tiered_env(None, segment_size="8"):
+        with config.override(tiered=None, segment_size=8):
             engine = ShardedEngine(
                 shard_count=2, data_dir=data, fsync=False, tier_dir=data
             )
@@ -475,8 +451,7 @@ class TestTieredObservability:
     def test_explain_reports_cold_segments(self):
         from repro.observability.explain import explain_query
 
-        with tiered_env("1", segment_size="4"):
-            assert tiered_enabled() is True
+        with config.override(tiered=True, segment_size=4):
             schema = TemporalSchema(name="r", time_varying=("reading",))
             clock = SimulatedWallClock(start=0)
             engine = MemoryEngine(segment_size=4)

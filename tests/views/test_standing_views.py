@@ -8,6 +8,7 @@ contracts those workloads rely on.
 
 import pytest
 
+from repro import config
 from repro.chronos.clock import LogicalClock
 from repro.chronos.interval import Interval
 from repro.chronos.timestamp import Timestamp
@@ -26,10 +27,11 @@ from repro.views import (
 
 
 @pytest.fixture(autouse=True)
-def _no_env_views(monkeypatch):
+def _no_env_views():
     # These tests assert exact registry contents; the REPRO_VIEWS=1 CI
     # leg would add its auto-registered view to every relation.
-    monkeypatch.delenv("REPRO_VIEWS", raising=False)
+    with config.override(views=False):
+        yield
 
 
 def make_relation(specializations=(), kind=ValidTimeKind.EVENT, enforcement=None):
